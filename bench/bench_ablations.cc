@@ -233,35 +233,31 @@ void AblationIndexLookup() {
   PrintSection("E. index-backed vs full-scan point lookup (dt.entity)");
   BenchScale scale;
   scale.num_fragments = 8000;
-  DemoPipeline with_idx = BuildDemoPipeline(scale, true, false);
-  // A second pipeline without CreateStandardIndexes is not directly
-  // constructible via the helper; emulate the scan by querying a path
-  // that has no index.
-  auto* coll = with_idx.tamer->entity_collection();
-  const storage::DocValue key = storage::DocValue::Str("Matilda");
+  DemoPipeline p = BuildDemoPipeline(scale, true, false);
+  // One query, two access paths: the planner's IXSCAN on the "name"
+  // index, and the same query with indexes disabled (COLLSCAN).
+  const storage::CollectionView view = p.tamer->entity_collection()->GetView();
+  const query::PredicatePtr pred =
+      query::Predicate::Eq("name", storage::DocValue::Str("Matilda"));
+  query::FindOptions scan;
+  scan.use_indexes = false;
 
   Timer t1;
   std::vector<storage::DocId> via_index;
-  for (int i = 0; i < 50; ++i) via_index = coll->FindEqual("name", key);
+  for (int i = 0; i < 50; ++i) via_index = query::Find(view, pred).ValueOrDie();
   double idx_ms = t1.Millis() / 50;
 
-  // "canonical" is not indexed -> full scan fallback inside FindEqual.
   Timer t2;
   std::vector<storage::DocId> via_scan;
-  for (int i = 0; i < 50; ++i) via_scan = coll->FindEqual("surface", key);
-  double scan_ms = 0;
-  if (coll->HasIndex("surface")) {
-    // surface IS indexed by CreateStandardIndexes; use an unindexed
-    // nested path instead for the scan case.
-    Timer t3;
-    for (int i = 0; i < 50; ++i) {
-      via_scan = coll->FindEqual("nonexistent_path", key);
-    }
-    scan_ms = t3.Millis() / 50;
-  } else {
-    scan_ms = t2.Millis() / 50;
+  for (int i = 0; i < 50; ++i) {
+    via_scan = query::Find(view, pred, scan).ValueOrDie();
   }
-  std::printf("  docs: %s\n", WithThousandsSep(coll->count()).c_str());
+  double scan_ms = t2.Millis() / 50;
+  if (via_index != via_scan) {
+    std::printf("  FAILED: index and scan lookups disagree\n");
+    CheckFailed() = true;
+  }
+  std::printf("  docs: %s\n", WithThousandsSep(view.count()).c_str());
   std::printf("  index lookup:  %8.3f ms (%zu hits)\n", idx_ms,
               via_index.size());
   std::printf("  full scan:     %8.3f ms\n", scan_ms);
@@ -422,7 +418,7 @@ void AblationSnapshot() {
   bool identical =
       cold.stats().fragments_ingested == p.tamer->stats().fragments_ingested &&
       cold.entity_collection()->count() == entity->count() &&
-      cold.entity_collection()->HasIndex("name");
+      cold.entity_collection()->GetView().HasIndex("name");
 
   std::printf("  docs: %s (instance + entity), snapshot: %.1f MB\n",
               WithThousandsSep(total_docs).c_str(), file_bytes / 1048576.0);
@@ -468,7 +464,7 @@ void AblationPlanner() {
     Timer t_idx;
     std::vector<storage::DocId> via_index;
     for (int i = 0; i < reps; ++i) {
-      via_index = query::Find(*coll, pred).ValueOrDie();
+      via_index = query::Find(coll->GetView(), pred).ValueOrDie();
     }
     double idx_ms = t_idx.Millis() / reps;
 
@@ -477,7 +473,7 @@ void AblationPlanner() {
     Timer t_scan;
     std::vector<storage::DocId> via_scan;
     for (int i = 0; i < reps; ++i) {
-      via_scan = query::Find(*coll, pred, scan_opts).ValueOrDie();
+      via_scan = query::Find(coll->GetView(), pred, scan_opts).ValueOrDie();
     }
     double scan_ms = t_scan.Millis() / reps;
 
@@ -486,7 +482,7 @@ void AblationPlanner() {
     Timer t_par;
     std::vector<storage::DocId> via_par;
     for (int i = 0; i < reps; ++i) {
-      via_par = query::Find(*coll, pred, par_opts).ValueOrDie();
+      via_par = query::Find(coll->GetView(), pred, par_opts).ValueOrDie();
     }
     double par_ms = t_par.Millis() / reps;
 
@@ -539,7 +535,8 @@ void AblationSortLimitPushdown() {
   query::ExecStats stats;
   down.stats = &stats;
 
-  const std::string explain = query::ExplainFind(*coll, match_all, down);
+  const std::string explain =
+      query::ExplainFind(coll->GetView(), match_all, down);
   std::printf("  plan: %s\n", explain.c_str());
   const bool plan_ok = explain.find("IXSCAN") != std::string::npos &&
                        explain.find("LIMIT(10)") != std::string::npos &&
@@ -553,7 +550,7 @@ void AblationSortLimitPushdown() {
   Timer t_push;
   std::vector<storage::DocId> pushed;
   for (int i = 0; i < push_reps; ++i) {
-    pushed = query::Find(*coll, match_all, down).ValueOrDie();
+    pushed = query::Find(coll->GetView(), match_all, down).ValueOrDie();
   }
   double push_ms = t_push.Millis() / push_reps;
 
@@ -565,12 +562,13 @@ void AblationSortLimitPushdown() {
   Timer t_sort;
   std::vector<storage::DocId> sorted;
   for (int i = 0; i < sort_reps; ++i) {
+    const storage::CollectionView view = coll->GetView();
     std::vector<storage::DocId> all =
-        query::Find(*coll, match_all, material).ValueOrDie();
+        query::Find(view, match_all, material).ValueOrDie();
     std::vector<std::pair<storage::IndexKey, storage::DocId>> keyed;
     keyed.reserve(all.size());
     for (storage::DocId id : all) {
-      const storage::DocValue* doc = coll->Get(id);
+      const storage::DocValue* doc = view.Get(id);
       const storage::DocValue* v =
           doc == nullptr ? nullptr : doc->FindPath("instance_id");
       keyed.emplace_back(v == nullptr ? storage::IndexKey()
@@ -621,7 +619,7 @@ void AblationSortLimitPushdown() {
   Timer t_single;
   std::vector<storage::DocId> via_single;
   for (int i = 0; i < reps; ++i) {
-    via_single = query::Find(*coll, pred).ValueOrDie();
+    via_single = query::Find(coll->GetView(), pred).ValueOrDie();
   }
   double single_ms = t_single.Millis() / reps;
 
@@ -630,11 +628,12 @@ void AblationSortLimitPushdown() {
     CheckFailed() = true;
     return;
   }
-  const std::string compound_explain = query::ExplainFind(*coll, pred);
+  const std::string compound_explain =
+      query::ExplainFind(coll->GetView(), pred);
   Timer t_compound;
   std::vector<storage::DocId> via_compound;
   for (int i = 0; i < reps; ++i) {
-    via_compound = query::Find(*coll, pred).ValueOrDie();
+    via_compound = query::Find(coll->GetView(), pred).ValueOrDie();
   }
   double compound_ms = t_compound.Millis() / reps;
 
@@ -683,7 +682,7 @@ void AblationResumableCursors(int64_t fragments_override) {
   query::ExecStats stats;
   paged.stats = &stats;
   std::printf("  plan: %s\n",
-              query::ExplainFind(*coll, match_all, paged).c_str());
+              query::ExplainFind(coll->GetView(), match_all, paged).c_str());
 
   // Walk 20 pages through their tokens, timing the resumed fetches and
   // watching what each one touched.
@@ -694,7 +693,7 @@ void AblationResumableCursors(int64_t fragments_override) {
   const int kPages = 20;
   for (int page_no = 0; page_no < kPages; ++page_no) {
     Timer t;
-    auto page = query::FindPage(*coll, match_all, paged);
+    auto page = query::FindPage(coll->GetView(), match_all, paged);
     double ms = t.Millis();
     if (!page.ok()) {
       std::printf("  page FAILED: %s\n", page.status().ToString().c_str());
@@ -721,7 +720,7 @@ void AblationResumableCursors(int64_t fragments_override) {
   Timer t_full;
   std::vector<storage::DocId> all;
   for (int i = 0; i < full_reps; ++i) {
-    all = query::Find(*coll, match_all, full).ValueOrDie();
+    all = query::Find(coll->GetView(), match_all, full).ValueOrDie();
   }
   double full_ms = t_full.Millis() / full_reps;
 
@@ -773,12 +772,13 @@ void AblationResumableCursors(int64_t fragments_override) {
   // counting, no stats-driven plan switches) so the comparison stays
   // the one this section has always made: UNION + TOPK vs the merge.
   ordered.debug_exact_count_planning = true;
-  const std::string before = query::ExplainFind(*coll, pred_or, ordered);
+  const std::string before =
+      query::ExplainFind(coll->GetView(), pred_or, ordered);
   const int topk_reps = 10;
   Timer t_topk;
   std::vector<storage::DocId> via_topk;
   for (int i = 0; i < topk_reps; ++i) {
-    via_topk = query::Find(*coll, pred_or, ordered).ValueOrDie();
+    via_topk = query::Find(coll->GetView(), pred_or, ordered).ValueOrDie();
   }
   double topk_ms = t_topk.Millis() / topk_reps;
   const int64_t topk_touched =
@@ -792,12 +792,13 @@ void AblationResumableCursors(int64_t fragments_override) {
   query::ExecStats merge_stats;
   ordered.stats = &merge_stats;
   ordered.debug_exact_count_planning = false;
-  const std::string after = query::ExplainFind(*coll, pred_or, ordered);
+  const std::string after =
+      query::ExplainFind(coll->GetView(), pred_or, ordered);
   const int merge_reps = 200;
   Timer t_merge;
   std::vector<storage::DocId> via_merge;
   for (int i = 0; i < merge_reps; ++i) {
-    via_merge = query::Find(*coll, pred_or, ordered).ValueOrDie();
+    via_merge = query::Find(coll->GetView(), pred_or, ordered).ValueOrDie();
   }
   double merge_ms = t_merge.Millis() / merge_reps;
 
@@ -915,7 +916,7 @@ void AblationConcurrency() {
         lat.reserve(kQueriesPerReader);
         for (int q = 0; q < kQueriesPerReader; ++q) {
           Timer tq;
-          auto got = query::Find(coll, pred);
+          auto got = query::Find(coll.GetView(), pred);
           if (!got.ok() || got->empty()) {
             CheckFailed() = true;
             return;
@@ -1336,7 +1337,7 @@ void AblationPlannerStats(int64_t fragments_override) {
     int64_t total_ns = 0;
     for (int i = 0; i < plan_reps; ++i) {
       st = query::ExecStats{};
-      (void)query::PlanFind(coll, pred, opts);
+      (void)query::PlanFind(coll.GetView(), pred, opts);
       total_ns += st.planning_ns;
       plan_entries[b] = st.plan_entries_counted;
     }
@@ -1374,7 +1375,7 @@ void AblationPlannerStats(int64_t fragments_override) {
     int64_t exact_entries = 0;
     for (int i = 0; i < exact_reps; ++i) {
       st = query::ExecStats{};
-      (void)query::PlanFind(coll, pred, opts);
+      (void)query::PlanFind(coll.GetView(), pred, opts);
       total_ns += st.planning_ns;
       exact_entries = st.plan_entries_counted;
     }
@@ -1404,23 +1405,23 @@ void AblationPlannerStats(int64_t fragments_override) {
   ordered.limit = 10;
   ordered.debug_exact_count_planning = true;
   std::printf("  exact-planner plan: %s\n",
-              query::ExplainFind(coll, pred_or, ordered).c_str());
+              query::ExplainFind(coll.GetView(), pred_or, ordered).c_str());
   const int exact_or_reps = 5;
   Timer t_exact;
   std::vector<storage::DocId> via_exact;
   for (int i = 0; i < exact_or_reps; ++i) {
-    via_exact = query::Find(coll, pred_or, ordered).ValueOrDie();
+    via_exact = query::Find(coll.GetView(), pred_or, ordered).ValueOrDie();
   }
   const double exact_ms = t_exact.Millis() / exact_or_reps;
 
   ordered.debug_exact_count_planning = false;
   std::printf("  stats-planner plan: %s\n",
-              query::ExplainFind(coll, pred_or, ordered).c_str());
+              query::ExplainFind(coll.GetView(), pred_or, ordered).c_str());
   const int stats_or_reps = 200;
   Timer t_stats;
   std::vector<storage::DocId> via_stats;
   for (int i = 0; i < stats_or_reps; ++i) {
-    via_stats = query::Find(coll, pred_or, ordered).ValueOrDie();
+    via_stats = query::Find(coll.GetView(), pred_or, ordered).ValueOrDie();
   }
   const double stats_ms = t_stats.Millis() / stats_or_reps;
   const double or_speedup = stats_ms > 0 ? exact_ms / stats_ms : 0.0;

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   DemoPipeline p = BuildDemoPipeline(scale, /*ingest_text=*/true,
                                      /*ingest_structured=*/false);
   Timer t;
-  auto counts = query::CountByField(*p.tamer->entity_collection(), "type");
+  auto counts =
+      query::CountByField(p.tamer->entity_collection()->GetView(), "type");
   double group_by_seconds = t.Seconds();
 
   int64_t paper_total = 0, measured_total = 0;

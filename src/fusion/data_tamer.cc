@@ -259,7 +259,7 @@ Result<match::IntegrationReport> DataTamer::IngestJsonLines(
 }
 
 std::vector<query::CountRow> DataTamer::TopDiscussed(
-    const std::string& entity_type, int k, bool award_winning_only) const {
+    const std::string& entity_type, int64_t k, bool award_winning_only) const {
   query::QueryRequest req;
   req.op = query::QueryOp::kTopDiscussed;
   req.entity_type = entity_type;
@@ -366,6 +366,19 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
     return Status::InvalidArgument(
         "ingest is a mutating op; route it through ExecuteMutable");
   }
+  // Requests come off the wire: a thread count past the facade's
+  // budget would make every COLLSCAN build a transient pool that wide.
+  const int budget = ResolveNumThreads(opts_.num_threads);
+  if (req.num_threads < 0 || req.num_threads > budget) {
+    return Status::InvalidArgument(
+        "num_threads " + std::to_string(req.num_threads) +
+        " outside [0, " + std::to_string(budget) + "]");
+  }
+  if ((req.op == query::QueryOp::kTopK ||
+       req.op == query::QueryOp::kTopDiscussed) &&
+      req.k < 0) {
+    return Status::InvalidArgument("negative k " + std::to_string(req.k));
+  }
   // The request's serializable knobs overlay the base options; the
   // process-local members (pool, text index, stats out-param) stay
   // whatever the wrapper supplied and resolve below exactly as the
@@ -376,7 +389,8 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
   opts.page_size = req.page_size;
   opts.resume_token = req.resume_token;
   opts.use_indexes = req.use_indexes;
-  opts.num_threads = static_cast<int>(req.num_threads);
+  opts.num_threads =
+      req.num_threads == 0 ? budget : static_cast<int>(req.num_threads);
   query::ExecStats exec_stats;
   query::ExecStats* caller_stats = opts.stats;
   opts.stats = &exec_stats;
@@ -387,27 +401,24 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
   DT_ASSIGN_OR_RETURN(const storage::Collection* coll,
                       store_.GetCollection(coll_name));
   opts = ResolveFindOptions(coll_name, std::move(opts));
+  // One version handle per request: the whole execution sees one
+  // immutable storage version however the collection mutates.
+  const storage::CollectionView view = coll->GetView();
 
   query::QueryResponse resp;
   switch (req.op) {
     case query::QueryOp::kFind: {
-      // Reads go through an explicit version handle: the whole
-      // execution sees one immutable storage version however the
-      // collection mutates.
-      DT_ASSIGN_OR_RETURN(resp.ids,
-                          query::Find(coll->GetView(), req.predicate, opts));
+      DT_ASSIGN_OR_RETURN(resp.ids, query::Find(view, req.predicate, opts));
       break;
     }
     case query::QueryOp::kFindPage: {
-      DT_ASSIGN_OR_RETURN(
-          query::FindResult page,
-          query::FindPage(coll->GetView(), req.predicate, opts));
+      DT_ASSIGN_OR_RETURN(query::FindResult page,
+                          query::FindPage(view, req.predicate, opts));
       resp.ids = std::move(page.ids);
       resp.next_token = std::move(page.next_token);
       break;
     }
     case query::QueryOp::kExplain: {
-      storage::CollectionView view = coll->GetView();
       resp.explain = query::ExplainFind(view, req.predicate, opts);
       // The second planning pass only reifies the structured form; it
       // must not double-count into the planning stats.
@@ -417,13 +428,12 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
       break;
     }
     case query::QueryOp::kCount:
-      resp.groups = query::CountByField(*coll, req.group_path, req.predicate,
+      resp.groups = query::CountByField(view, req.group_path, req.predicate,
                                         opts);
       break;
     case query::QueryOp::kTopK:
-      resp.groups = query::TopKByCount(*coll, req.group_path,
-                                       static_cast<int>(req.k), req.predicate,
-                                       opts);
+      resp.groups =
+          query::TopKByCount(view, req.group_path, req.k, req.predicate, opts);
       break;
     case query::QueryOp::kTopDiscussed: {
       query::PredicatePtr pred =
@@ -435,8 +445,7 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
       }
       // Rides the shared bounded top-k machinery (see executor.h's
       // TopKCursor / BoundedTopK) over the planner-routed group counts.
-      resp.groups = query::TopKByCount(*coll, "name", static_cast<int>(req.k),
-                                       pred, opts);
+      resp.groups = query::TopKByCount(view, "name", req.k, pred, opts);
       break;
     }
     case query::QueryOp::kIngest:
@@ -516,18 +525,22 @@ std::vector<dedup::DedupRecord> DataTamer::CollectRecords(
     std::string canonical;
   };
   std::unordered_map<std::string, TextEntity> by_name;
+  // One view per collection: the type scan, the entity fetches and the
+  // fragment fetches each read a single storage version.
+  const storage::CollectionView entities = entity_->GetView();
+  const storage::CollectionView instances = instance_->GetView();
   // The type restriction routes through the planner, so after
   // CreateStandardIndexes this walk is an index scan over exactly the
   // entities of `entity_type`, not a full collection pass. The name
   // comparison stays in code: it matches on the *normalized* form,
   // which no index key carries.
   auto type_ids =
-      query::Find(*entity_, query::Predicate::Eq("type",
+      query::Find(entities, query::Predicate::Eq("type",
                                                  DocValue::Str(entity_type)),
                   ResolveFindOptions("entity", {}));
   RethrowIfError(type_ids.status());  // scan bodies cannot fail short of OOM
   for (storage::DocId id : *type_ids) {
-    const DocValue* doc = entity_->Get(id);
+    const DocValue* doc = entities.Get(id);
     if (doc == nullptr) continue;
     const DocValue* ename = doc->Find("name");
     if (ename == nullptr || !ename->is_string()) continue;
@@ -552,7 +565,7 @@ std::vector<dedup::DedupRecord> DataTamer::CollectRecords(
     std::string feed;
     int taken = 0;
     for (int64_t iid : te.instance_ids) {
-      const DocValue* inst = instance_->Get(static_cast<storage::DocId>(iid));
+      const DocValue* inst = instances.Get(static_cast<storage::DocId>(iid));
       if (inst == nullptr) continue;
       const DocValue* text = inst->Find("text");
       if (text == nullptr || !text->is_string()) continue;
@@ -679,7 +692,7 @@ void DataTamer::RefreshFragmentIndex() const {
     // Removal, update or mixed churn: postings may reference dead or
     // rewritten documents, so fall back to a full rebuild.
     fragment_index_ = query::InvertedIndex("text");
-    (void)fragment_index_.Build(*instance_);
+    (void)fragment_index_.Build(view);
   }
   fragments_indexed_ = total;
   fragment_index_epoch_ = epoch;
@@ -742,10 +755,11 @@ Status DataTamer::EnsureStreaming() {
       ResolveConsolidationOptions());
   // Rebuild the resident state from the persisted record log (ascending
   // id = original arrival order), the durable source of truth.
+  const storage::CollectionView record_log = record_coll_->GetView();
   std::vector<dedup::DedupRecord> persisted;
-  persisted.reserve(static_cast<size_t>(record_coll_->count()));
+  persisted.reserve(static_cast<size_t>(record_log.count()));
   Status decode = Status::OK();
-  record_coll_->ForEach([&](storage::DocId, const DocValue& doc) {
+  record_log.ForEach([&](storage::DocId, const DocValue& doc) {
     if (!decode.ok()) return;
     Result<dedup::DedupRecord> rec = dedup::DedupRecordFromDoc(doc);
     if (!rec.ok()) {
@@ -777,7 +791,7 @@ Status DataTamer::ReconcileFusedDocs() {
   cluster_doc_.clear();
   std::vector<storage::DocId> drop;
   std::vector<std::pair<storage::DocId, size_t>> repair;
-  fused_coll_->ForEach([&](storage::DocId id, const DocValue& doc) {
+  fused_coll_->GetView().ForEach([&](storage::DocId id, const DocValue& doc) {
     const DocValue* key_field = doc.Find("cluster_id");
     if (key_field == nullptr || !key_field->is_int() ||
         key_field->int_value() < 0) {
@@ -804,10 +818,20 @@ Status DataTamer::ReconcileFusedDocs() {
     cluster_doc_[key] = fused_coll_->Insert(doc);
   }
   // Index over the reconciled docs.
+  const storage::CollectionView fused = fused_coll_->GetView();
   fused_index_ = query::InvertedIndex("text");
-  (void)fused_index_.Build(*fused_coll_);
-  fused_index_epoch_ = fused_coll_->mutation_epoch();
+  (void)fused_index_.Build(fused);
+  fused_index_epoch_ = fused.mutation_epoch();
   return Status::OK();
+}
+
+void DataTamer::UnindexFusedDoc(storage::DocId id) {
+  const storage::CollectionView fused = fused_coll_->GetView();
+  const DocValue* old = fused.Get(id);
+  const DocValue* text = old != nullptr ? old->Find("text") : nullptr;
+  if (text != nullptr && text->is_string()) {
+    fused_index_.Remove(id, text->string_value());
+  }
 }
 
 Status DataTamer::ApplyClusterDelta(
@@ -817,13 +841,7 @@ Status DataTamer::ApplyClusterDelta(
     // Keys the engine merged away within a single ingest (e.g. the new
     // record's transient singleton) never had a doc; skip them.
     if (it == cluster_doc_.end()) continue;
-    if (const DocValue* old = fused_coll_->Get(it->second)) {
-      if (const DocValue* text = old->Find("text")) {
-        if (text->is_string()) {
-          fused_index_.Remove(it->second, text->string_value());
-        }
-      }
-    }
+    UnindexFusedDoc(it->second);
     DT_RETURN_NOT_OK(fused_coll_->Remove(it->second));
     cluster_doc_.erase(it);
     ++ingest_stats_.clusters_removed;
@@ -833,13 +851,7 @@ Status DataTamer::ApplyClusterDelta(
     const DocValue* new_text = doc.Find("text");
     auto it = cluster_doc_.find(key);
     if (it != cluster_doc_.end()) {
-      if (const DocValue* old = fused_coll_->Get(it->second)) {
-        if (const DocValue* text = old->Find("text")) {
-          if (text->is_string()) {
-            fused_index_.Remove(it->second, text->string_value());
-          }
-        }
-      }
+      UnindexFusedDoc(it->second);
       if (new_text != nullptr && new_text->is_string()) {
         fused_index_.Add(it->second, new_text->string_value());
       }
@@ -912,11 +924,11 @@ std::vector<query::SearchHit> DataTamer::SearchEntities(
   // The ingest path maintains the index eagerly; a mismatched epoch
   // means dt.fused mutated out of band (snapshot surgery, direct
   // writes), so fall back to a rebuild.
-  const uint64_t epoch = (*coll)->mutation_epoch();
-  if (epoch != fused_index_epoch_) {
+  const storage::CollectionView fused = (*coll)->GetView();
+  if (fused.mutation_epoch() != fused_index_epoch_) {
     fused_index_ = query::InvertedIndex("text");
-    (void)fused_index_.Build(**coll);
-    fused_index_epoch_ = epoch;
+    (void)fused_index_.Build(fused);
+    fused_index_epoch_ = fused.mutation_epoch();
   }
   return fused_index_.Search(keywords, k);
 }

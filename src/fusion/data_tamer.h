@@ -228,7 +228,11 @@ class DataTamer {
   /// kTopDiscussed) and returns the serializable response. This is
   /// what the RPC server executes — a request decoded off the wire
   /// runs byte-identically to the in-process call — and every legacy
-  /// query signature below is now a thin wrapper over it.
+  /// query signature below is now a thin wrapper over it. A request
+  /// asking for more scan threads than the facade's budget
+  /// (`options().num_threads`, resolved), for a negative thread count
+  /// or for a negative `k` is kInvalidArgument; `num_threads` 0 means
+  /// the whole budget.
   Result<query::QueryResponse> Execute(const query::QueryRequest& req) const;
 
   /// \brief Table IV: top-k most discussed entities of `entity_type`
@@ -236,7 +240,7 @@ class DataTamer {
   /// through the query planner: after `CreateStandardIndexes` the type
   /// predicate drives an index scan instead of a collection scan.
   std::vector<query::CountRow> TopDiscussed(const std::string& entity_type,
-                                            int k,
+                                            int64_t k,
                                             bool award_winning_only) const;
 
   /// \brief Structured predicate query against a collection of the
@@ -395,6 +399,12 @@ class DataTamer {
   /// entity text index tracks every mutation as add/remove deltas.
   Status ApplyClusterDelta(
       const dedup::StreamingConsolidator::IngestDelta& delta);
+
+  /// Drops fused doc `id`'s current text from the entity text index
+  /// (before the doc is removed or rewritten). The view it reads
+  /// through is released on return, so the mutation that follows
+  /// still runs in place.
+  void UnindexFusedDoc(storage::DocId id);
 
   /// Rebuilds the cluster-key -> DocId map and the entity text index
   /// from the consolidator + the persisted fused docs, repairing any

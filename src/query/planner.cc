@@ -12,7 +12,6 @@
 
 namespace dt::query {
 
-using storage::Collection;
 using storage::CollectionView;
 using storage::DocId;
 using storage::DocValue;
@@ -551,11 +550,6 @@ QueryPlan PlanFind(const CollectionView& coll, const PredicatePtr& pred,
   return plan;
 }
 
-QueryPlan PlanFind(const Collection& coll, const PredicatePtr& pred,
-                   const FindOptions& opts) {
-  return PlanFind(coll.GetView(), pred, opts);
-}
-
 // ---- execution ---------------------------------------------------------
 
 namespace {
@@ -1069,22 +1063,11 @@ Result<FindResult> FindPage(const CollectionView& view,
   return out;
 }
 
-Result<FindResult> FindPage(const Collection& coll, const PredicatePtr& pred,
-                            const FindOptions& opts) {
-  return FindPage(coll.GetView(), pred, opts);
-}
-
 Result<std::vector<DocId>> Find(const CollectionView& view,
                                 const PredicatePtr& pred,
                                 const FindOptions& opts) {
   DT_ASSIGN_OR_RETURN(FindResult page, FindPage(view, pred, opts));
   return std::move(page.ids);
-}
-
-Result<std::vector<DocId>> Find(const Collection& coll,
-                                const PredicatePtr& pred,
-                                const FindOptions& opts) {
-  return Find(coll.GetView(), pred, opts);
 }
 
 Status FindFold(const CollectionView& view, const PredicatePtr& pred,
@@ -1109,12 +1092,6 @@ Status FindFold(const CollectionView& view, const PredicatePtr& pred,
   if (fold_opts.stats != nullptr) fold_opts.stats->docs_returned += returned;
   NoteScan(view, plan);
   return Status::OK();
-}
-
-Status FindFold(const Collection& coll, const PredicatePtr& pred,
-                const FindOptions& opts,
-                const std::function<void(DocId)>& fn) {
-  return FindFold(coll.GetView(), pred, opts, fn);
 }
 
 // ---- rendering ---------------------------------------------------------
@@ -1328,11 +1305,6 @@ std::string ExplainFind(const CollectionView& view, const PredicatePtr& pred,
     }
   }
   return out;
-}
-
-std::string ExplainFind(const Collection& coll, const PredicatePtr& pred,
-                        const FindOptions& opts) {
-  return ExplainFind(coll.GetView(), pred, opts);
 }
 
 }  // namespace dt::query

@@ -200,12 +200,6 @@ std::string RenderPlan(const storage::DocValue& plan);
 QueryPlan PlanFind(const storage::CollectionView& view,
                    const PredicatePtr& pred, const FindOptions& opts = {});
 
-/// Convenience overload planning against the currently published
-/// version; the plan's `index` borrows from it, so writers publishing
-/// new versions do not invalidate the plan.
-QueryPlan PlanFind(const storage::Collection& coll, const PredicatePtr& pred,
-                   const FindOptions& opts = {});
-
 /// \brief One page of a resumable `Find`: the ids plus the opaque
 /// token that continues the stream (empty when exhausted or unpaged).
 struct FindResult {
@@ -232,12 +226,6 @@ Result<FindResult> FindPage(const storage::CollectionView& view,
                             const PredicatePtr& pred,
                             const FindOptions& opts = {});
 
-/// Convenience overload executing against the currently published
-/// version (`coll.GetView()`).
-Result<FindResult> FindPage(const storage::Collection& coll,
-                            const PredicatePtr& pred,
-                            const FindOptions& opts = {});
-
 /// \brief Plans and executes: returns the ids of exactly the documents
 /// matching `pred` in the requested order (ascending id by default),
 /// truncated to `limit` inside execution, and bumps the collection's
@@ -249,23 +237,11 @@ Result<std::vector<storage::DocId>> Find(const storage::CollectionView& view,
                                          const PredicatePtr& pred,
                                          const FindOptions& opts = {});
 
-/// Convenience overload executing against the currently published
-/// version (`coll.GetView()`).
-Result<std::vector<storage::DocId>> Find(const storage::Collection& coll,
-                                         const PredicatePtr& pred,
-                                         const FindOptions& opts = {});
-
 /// \brief Streaming execution: invokes `fn` for every matching id in
 /// the requested order without materializing the id vector — the
 /// aggregation fold behind `CountByField`/`TopKByCount`. Pagination
 /// options are ignored.
 Status FindFold(const storage::CollectionView& view, const PredicatePtr& pred,
-                const FindOptions& opts,
-                const std::function<void(storage::DocId)>& fn);
-
-/// Convenience overload executing against the currently published
-/// version (`coll.GetView()`).
-Status FindFold(const storage::Collection& coll, const PredicatePtr& pred,
                 const FindOptions& opts,
                 const std::function<void(storage::DocId)>& fn);
 
@@ -277,12 +253,6 @@ Status FindFold(const storage::Collection& coll, const PredicatePtr& pred,
 /// version, or why the token would be rejected (`resume=INVALID`,
 /// `resume=STALE(...)`, `resume=PLAN_MISMATCH`).
 std::string ExplainFind(const storage::CollectionView& view,
-                        const PredicatePtr& pred,
-                        const FindOptions& opts = {});
-
-/// Convenience overload rendering against the currently published
-/// version (`coll.GetView()`).
-std::string ExplainFind(const storage::Collection& coll,
                         const PredicatePtr& pred,
                         const FindOptions& opts = {});
 

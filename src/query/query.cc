@@ -112,10 +112,9 @@ GroupCounts CountGroups(const storage::CollectionView& view,
 
 /// Scan-and-count for the arbitrary-code DocFilter overloads (not
 /// plannable; always a full scan).
-GroupCounts CountGroupsByFilter(const storage::Collection& coll,
+GroupCounts CountGroupsByFilter(const storage::CollectionView& view,
                                 const std::string& path,
                                 const DocFilter& filter) {
-  storage::CollectionView view = coll.GetView();
   GroupCounts counts;
   view.ForEach([&](storage::DocId, const DocValue& doc) {
     if (!filter(doc)) return;
@@ -137,7 +136,7 @@ std::vector<CountRow> SortAllGroups(const GroupCounts& counts) {
 /// Bounded selection — the same k-element-heap machinery as the
 /// executor's TopKCursor, applied to group counts instead of sort
 /// keys: O(groups * log k) instead of sorting every group.
-std::vector<CountRow> TopKGroups(const GroupCounts& counts, int k) {
+std::vector<CountRow> TopKGroups(const GroupCounts& counts, int64_t k) {
   BoundedTopK<CountRow, bool (*)(const CountRow&, const CountRow&)> top(
       k, BetterRow);
   for (const auto& [key, count] : counts) top.Offer({key, count});
@@ -146,15 +145,14 @@ std::vector<CountRow> TopKGroups(const GroupCounts& counts, int k) {
 
 }  // namespace
 
-std::vector<CountRow> CountByField(const storage::Collection& coll,
+std::vector<CountRow> CountByField(const storage::CollectionView& view,
                                    const std::string& path,
                                    const PredicatePtr& pred,
                                    const FindOptions& opts) {
-  // One view per aggregation: every read below — index key counts,
-  // full scans, the filtered fold and its document fetches — touches
-  // the same immutable storage version, so the counts are consistent
-  // even with writers publishing new versions mid-aggregation.
-  storage::CollectionView view = coll.GetView();
+  // Every read below — index key counts, full scans, the filtered fold
+  // and its document fetches — touches the view's one immutable
+  // storage version, so the counts are consistent even with writers
+  // publishing new versions mid-aggregation.
   if (const storage::SecondaryIndex* idx = AggIndex(view, path, pred, opts)) {
     std::vector<CountRow> rows = IndexGroupRows(view, *idx);
     std::sort(rows.begin(), rows.end(), BetterRow);
@@ -163,21 +161,20 @@ std::vector<CountRow> CountByField(const storage::Collection& coll,
   return SortAllGroups(CountGroups(view, path, pred, opts));
 }
 
-std::vector<CountRow> CountByField(const storage::Collection& coll,
+std::vector<CountRow> CountByField(const storage::CollectionView& view,
                                    const std::string& path,
                                    const DocFilter& filter) {
   if (filter == nullptr) {
     // No filter = plannable: the indexed form aggregates off the index.
-    return CountByField(coll, path, PredicatePtr(), FindOptions{});
+    return CountByField(view, path, PredicatePtr(), FindOptions{});
   }
-  return SortAllGroups(CountGroupsByFilter(coll, path, filter));
+  return SortAllGroups(CountGroupsByFilter(view, path, filter));
 }
 
-std::vector<CountRow> TopKByCount(const storage::Collection& coll,
-                                  const std::string& path, int k,
+std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
+                                  const std::string& path, int64_t k,
                                   const PredicatePtr& pred,
                                   const FindOptions& opts) {
-  storage::CollectionView view = coll.GetView();
   if (const storage::SecondaryIndex* idx = AggIndex(view, path, pred, opts)) {
     BoundedTopK<CountRow, bool (*)(const CountRow&, const CountRow&)> top(
         k, BetterRow);
@@ -187,13 +184,13 @@ std::vector<CountRow> TopKByCount(const storage::Collection& coll,
   return TopKGroups(CountGroups(view, path, pred, opts), k);
 }
 
-std::vector<CountRow> TopKByCount(const storage::Collection& coll,
-                                  const std::string& path, int k,
+std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
+                                  const std::string& path, int64_t k,
                                   const DocFilter& filter) {
   if (filter == nullptr) {
-    return TopKByCount(coll, path, k, PredicatePtr(), FindOptions{});
+    return TopKByCount(view, path, k, PredicatePtr(), FindOptions{});
   }
-  return TopKGroups(CountGroupsByFilter(coll, path, filter), k);
+  return TopKGroups(CountGroupsByFilter(view, path, filter), k);
 }
 
 Result<Table> Project(const Table& table,

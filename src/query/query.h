@@ -35,27 +35,28 @@ using DocFilter = std::function<bool(const storage::DocValue&)>;
 /// routed through the planner: an indexable predicate drives an index
 /// scan, and the unfiltered form over an indexed `path` is answered
 /// straight off the index's key counts without touching any document.
-std::vector<CountRow> CountByField(const storage::Collection& coll,
+std::vector<CountRow> CountByField(const storage::CollectionView& view,
                                    const std::string& path,
                                    const PredicatePtr& pred,
                                    const FindOptions& opts = {});
 
 /// Arbitrary-code filter variant (not plannable: always scans).
-std::vector<CountRow> CountByField(const storage::Collection& coll,
+std::vector<CountRow> CountByField(const storage::CollectionView& view,
                                    const std::string& path,
                                    const DocFilter& filter = nullptr);
 
 /// \brief First `k` groups of CountByField — the Table IV "top 10 most
-/// discussed" query shape. Selection keeps a bounded k-element heap
-/// over the group counts instead of sorting every group.
-std::vector<CountRow> TopKByCount(const storage::Collection& coll,
-                                  const std::string& path, int k,
+/// discussed" query shape. Selection keeps a bounded heap of at most
+/// min(k, groups) rows instead of sorting every group; `k` <= 0 yields
+/// no rows.
+std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
+                                  const std::string& path, int64_t k,
                                   const PredicatePtr& pred,
                                   const FindOptions& opts = {});
 
 /// Arbitrary-code filter variant (not plannable: always scans).
-std::vector<CountRow> TopKByCount(const storage::Collection& coll,
-                                  const std::string& path, int k,
+std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
+                                  const std::string& path, int64_t k,
                                   const DocFilter& filter = nullptr);
 
 /// \brief Projection: keeps `attrs` in the given order. Unknown

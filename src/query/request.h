@@ -68,14 +68,16 @@ struct QueryRequest {
   /// Opaque continuation token from a prior kFindPage response.
   std::string resume_token;
   bool use_indexes = true;
-  /// Scan parallelism request; the executing facade resolves it
-  /// against its own pool exactly like the legacy entry points.
+  /// Scan parallelism request, bounded by the executing facade's
+  /// thread budget: 0 asks for the whole budget, and a count outside
+  /// [0, budget] is kInvalidArgument.
   int64_t num_threads = 1;
 
   // ---- aggregation ops ----
   /// Dotted path grouped by kCount/kTopK.
   std::string group_path;
-  /// Result bound for kTopK/kTopDiscussed.
+  /// Result bound for kTopK/kTopDiscussed (negative is
+  /// kInvalidArgument).
   int64_t k = 10;
   /// kTopDiscussed: entity type filter and the award restriction.
   std::string entity_type;

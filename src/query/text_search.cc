@@ -61,9 +61,9 @@ void InvertedIndex::Remove(storage::DocId id, std::string_view text) {
   }
 }
 
-int64_t InvertedIndex::Build(const storage::Collection& coll) {
+int64_t InvertedIndex::Build(const storage::CollectionView& view) {
   int64_t indexed = 0;
-  coll.ForEach([&](storage::DocId id, const storage::DocValue& doc) {
+  view.ForEach([&](storage::DocId id, const storage::DocValue& doc) {
     const storage::DocValue* field = doc.FindPath(field_path_);
     if (field == nullptr || !field->is_string()) return;
     Add(id, field->string_value());

@@ -45,9 +45,9 @@ class InvertedIndex {
   /// at hand when upserting). Unknown id/text pairs are a no-op.
   void Remove(storage::DocId id, std::string_view text);
 
-  /// Builds the index over an entire collection (documents lacking the
-  /// field are skipped). Returns the number of documents indexed.
-  int64_t Build(const storage::Collection& coll);
+  /// Builds the index over every document of `view` (documents lacking
+  /// the field are skipped). Returns the number of documents indexed.
+  int64_t Build(const storage::CollectionView& view);
 
   /// \brief Conjunctive keyword search: documents containing *all*
   /// query tokens, ranked by summed TF-IDF / sqrt(doc length), top `k`.

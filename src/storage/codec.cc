@@ -238,7 +238,7 @@ void AppendCodecHeader(std::string* out) {
   w.PutU16(0);  // flags, reserved
 }
 
-Status ReadCodecHeader(BinaryReader* reader, uint16_t* version_out) {
+Status ReadCodecHeader(BinaryReader* reader) {
   uint32_t magic = 0;
   uint16_t version = 0, flags = 0;
   DT_RETURN_NOT_OK(reader->ReadU32(&magic));
@@ -246,16 +246,36 @@ Status ReadCodecHeader(BinaryReader* reader, uint16_t* version_out) {
     return Status::Corruption("bad magic: not a dt binary stream");
   }
   DT_RETURN_NOT_OK(reader->ReadU16(&version));
-  if (version < kMinCodecVersion || version > kCodecVersion) {
-    return Status::Corruption(
-        "unsupported codec version " + std::to_string(version) +
-        " (this build reads " + std::to_string(kMinCodecVersion) + ".." +
-        std::to_string(kCodecVersion) + ")");
+  if (version != kCodecVersion) {
+    return Status::Corruption("unsupported codec version " +
+                              std::to_string(version) + " (this build reads " +
+                              std::to_string(kCodecVersion) + ")");
   }
-  if (version_out != nullptr) *version_out = version;
   DT_RETURN_NOT_OK(reader->ReadU16(&flags));
   if (flags != 0) {
     return Status::Corruption("unknown codec flags " + std::to_string(flags));
+  }
+  return Status::OK();
+}
+
+void PutIndexSpec(BinaryWriter* w, const std::vector<std::string>& paths) {
+  w->PutU32(static_cast<uint32_t>(paths.size()));
+  for (const std::string& p : paths) w->PutString(p);
+}
+
+Status ReadIndexSpec(BinaryReader* r, std::vector<std::string>* paths) {
+  paths->clear();
+  uint32_t count = 0;
+  DT_RETURN_NOT_OK(r->ReadU32(&count));
+  if (count == 0 || count > r->remaining() / 4) {
+    return Status::Corruption("implausible index component count " +
+                              std::to_string(count));
+  }
+  paths->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string p;
+    DT_RETURN_NOT_OK(r->ReadString(&p));
+    paths->push_back(std::move(p));
   }
   return Status::OK();
 }

@@ -32,6 +32,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "storage/docvalue.h"
@@ -42,23 +43,19 @@ namespace dt::storage {
 /// little-endian u32.
 inline constexpr uint32_t kCodecMagic = 0x31425444u;
 
-/// Bumped on any incompatible change to the value encoding, and on
-/// additive stream-layout changes readers branch on (writers always
-/// emit the current version). Version history:
+/// Bumped on any change to the value encoding or the stream layout.
+/// Version history:
 ///   1  original format
 ///   2  collection sections carry epoch lineage (incarnation + epoch)
 ///      after next_id
 ///   3  collection sections carry one per-index statistics record
 ///      (histogram + distinct sketches, see storage/stats.h) after the
-///      index specs; older sections load with stats rebuilt from the
-///      restored documents
-/// Readers accept [kMinCodecVersion, kCodecVersion] and reject
-/// anything else with kCorruption (forward compatibility is a policy
-/// decision left to callers, not silently guessed here).
-inline constexpr uint16_t kCodecVersion = 3;
-
-/// Oldest stream version this build still reads.
-inline constexpr uint16_t kMinCodecVersion = 1;
+///      index specs
+///   4  index specs use the `PutIndexSpec` layout (u32 component
+///      count + component paths), the same as WAL create-index records
+/// Readers accept exactly kCodecVersion and reject anything else with
+/// kCorruption: an older file is migrated by the build that wrote it.
+inline constexpr uint16_t kCodecVersion = 4;
 
 /// Both directions refuse trees nested deeper than this: decode
 /// because a 4-byte-per-level crafted input could otherwise overflow
@@ -191,10 +188,18 @@ Status DecodeDocValue(std::string_view buf, DocValue* out);
 void AppendCodecHeader(std::string* out);
 
 /// Validates magic and version at the reader's cursor and advances past
-/// the header. Wrong magic, or a version outside
-/// [kMinCodecVersion, kCodecVersion], is kCorruption. When `version`
-/// is non-null it receives the stream's version so callers can branch
-/// on layout differences.
-Status ReadCodecHeader(BinaryReader* reader, uint16_t* version = nullptr);
+/// the header. Wrong magic, or any version but kCodecVersion, is
+/// kCorruption naming the version found.
+Status ReadCodecHeader(BinaryReader* reader);
+
+/// Appends an index spec — its component paths in index order — as a
+/// u32 count followed by `PutString` paths: the one persisted form of
+/// an index spec, shared by snapshots and the WAL.
+void PutIndexSpec(BinaryWriter* w, const std::vector<std::string>& paths);
+
+/// Inverse of `PutIndexSpec`. A count of 0, or one the remaining bytes
+/// cannot hold (each path costs at least its 4-byte length prefix), is
+/// kCorruption.
+Status ReadIndexSpec(BinaryReader* r, std::vector<std::string>* paths);
 
 }  // namespace dt::storage

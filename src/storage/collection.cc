@@ -422,11 +422,6 @@ Status Collection::RestoreDocument(DocId id, DocValue doc) {
   return Status::OK();
 }
 
-const DocValue* Collection::Get(DocId id) const {
-  std::lock_guard<std::mutex> lock(state_->version_mu);
-  return state_->published->Get(id);
-}
-
 Status Collection::Update(DocId id, DocValue doc) {
   std::lock_guard<std::mutex> wlock(state_->writer_mu);
   if (state_->published->Get(id) == nullptr) {
@@ -486,15 +481,6 @@ Status Collection::Remove(DocId id) {
   return Status::OK();
 }
 
-void Collection::ForEach(
-    const std::function<void(DocId, const DocValue&)>& fn) const {
-  CurrentCore()->ForEach(fn);
-}
-
-storage::DocCursor Collection::ScanDocs() const {
-  return GetView().ScanDocs();
-}
-
 Status Collection::CreateIndex(const char* field_path) {
   return CreateIndex(std::vector<std::string>{field_path});
 }
@@ -509,10 +495,9 @@ Status Collection::CreateIndex(const std::vector<std::string>& field_paths) {
       return Status::InvalidArgument("empty index field path");
     }
     for (char c : path) {
-      // Control characters are reserved by the snapshot index-record
-      // encoding, ',' by the canonical compound name ("type,name") —
-      // neither makes sense in a dotted path anyway, and allowing them
-      // would let two distinct indexes collide on one canonical name.
+      // ',' is reserved by the canonical compound name ("type,name"):
+      // allowing it would let two distinct indexes collide on one
+      // name. Control characters make no sense in a dotted path.
       if (static_cast<unsigned char>(c) < 0x20 || c == ',') {
         return Status::InvalidArgument(
             "index field path contains a reserved character");
@@ -546,64 +531,6 @@ Status Collection::CreateIndex(const std::vector<std::string>& field_paths) {
 void Collection::SetMutationObserver(MutationObserver observer) {
   std::lock_guard<std::mutex> wlock(state_->writer_mu);
   state_->observer = std::move(observer);
-}
-
-std::vector<std::vector<std::string>> Collection::IndexSpecs() const {
-  auto core = CurrentCore();
-  std::vector<std::vector<std::string>> out;
-  for (const auto& idx : core->indexes) {
-    if (idx->field_path() != "_id") out.push_back(idx->field_paths());
-  }
-  return out;
-}
-
-std::vector<const SecondaryIndex*> Collection::Indexes() const {
-  auto core = CurrentCore();
-  std::vector<const SecondaryIndex*> out;
-  out.reserve(core->indexes.size());
-  for (const auto& idx : core->indexes) out.push_back(idx.get());
-  return out;
-}
-
-bool Collection::HasIndex(const std::string& field_path) const {
-  return IndexOn(field_path) != nullptr;
-}
-
-const SecondaryIndex* Collection::IndexOn(const std::string& field_path) const {
-  std::lock_guard<std::mutex> lock(state_->version_mu);
-  return state_->published->IndexOn(field_path);
-}
-
-std::vector<DocId> Collection::FindEqual(const std::string& field_path,
-                                         const DocValue& value) const {
-  auto core = CurrentCore();
-  if (const SecondaryIndex* idx = core->IndexOn(field_path)) {
-    return idx->Lookup(value);
-  }
-  std::vector<DocId> out;
-  core->ForEach([&](DocId id, const DocValue& doc) {
-    const DocValue* v = doc.FindPath(field_path);
-    if (v != nullptr && v->Equals(value)) out.push_back(id);
-  });
-  return out;
-}
-
-std::vector<DocId> Collection::FindRange(const std::string& field_path,
-                                         const DocValue& lo,
-                                         const DocValue& hi) const {
-  auto core = CurrentCore();
-  if (const SecondaryIndex* idx = core->IndexOn(field_path)) {
-    return idx->Range(lo, hi);
-  }
-  std::vector<DocId> out;
-  IndexKey klo = IndexKey::FromValue(lo), khi = IndexKey::FromValue(hi);
-  core->ForEach([&](DocId id, const DocValue& doc) {
-    const DocValue* v = doc.FindPath(field_path);
-    if (v == nullptr) return;
-    IndexKey k = IndexKey::FromValue(*v);
-    if (!(k < klo) && !(khi < k)) out.push_back(id);
-  });
-  return out;
 }
 
 int64_t Collection::count() const { return CurrentCore()->doc_count; }

@@ -32,10 +32,9 @@
 ///     version whose epoch is still pinned is deferred through
 ///     `EpochManager::Retire` until the pinned epochs drain.
 ///
-/// Direct reads on `Collection` (Get/ForEach/IndexOn/...) remain for
-/// single-threaded callers and borrow from the currently published
-/// version: they are valid until the next mutation and must not run
-/// concurrently with writers — concurrent readers go through views.
+/// `Collection` itself hands out no borrowed document or index: every
+/// read goes through a view, and the collection answers only value
+/// queries (count, epoch, stats).
 
 #pragma once
 
@@ -299,7 +298,6 @@ class DocCursor {
   void SeekAfter(DocId id);
 
  private:
-  friend class Collection;
   friend class CollectionView;
   DocCursor(std::shared_ptr<const internal::StorageVersion> core,
             std::shared_ptr<const internal::VersionPin> pin)
@@ -384,10 +382,8 @@ class CollectionView {
 /// \brief A sharded document collection.
 ///
 /// Writers are internally serialized and may run concurrently with
-/// any number of `GetView()` readers. The borrowing read accessors on
-/// Collection itself (Get/ForEach/IndexOn/Indexes/ScanDocs) are the
-/// legacy single-threaded surface: their results are only guaranteed
-/// stable until the next mutation.
+/// any number of `GetView()` readers; documents and indexes are read
+/// only through those views.
 class Collection {
  public:
   Collection(std::string ns, CollectionOptions opts = {});
@@ -399,35 +395,19 @@ class Collection {
 
   const std::string& ns() const { return state_->ns; }
 
-  /// Pins and returns the currently published version. The preferred
-  /// read path — and the only safe one under concurrent writers.
+  /// Pins and returns the currently published version — the read
+  /// path for documents and indexes.
   CollectionView GetView() const;
 
   /// Inserts a document, assigning and returning its id. The document
   /// gains an "_id" field if absent.
   DocId Insert(DocValue doc);
 
-  /// Returns the document with `id`, or nullptr (legacy borrow:
-  /// valid until the next mutation).
-  const DocValue* Get(DocId id) const;
-
   /// Replaces the document with `id`. Indexes are maintained.
   Status Update(DocId id, DocValue doc);
 
   /// Removes the document with `id`. Indexes are maintained.
   Status Remove(DocId id);
-
-  /// Invokes `fn` for every live document in id order (one consistent
-  /// version: a concurrent writer cannot tear the iteration).
-  void ForEach(const std::function<void(DocId, const DocValue&)>& fn) const;
-
-  /// Nested-name compatibility: the cursor type predates views.
-  using DocCursor = storage::DocCursor;
-
-  /// Pull-based scan over the currently published version. The cursor
-  /// owns its version: it stays valid (and yields that version's
-  /// documents) even if the collection is mutated or destroyed.
-  storage::DocCursor ScanDocs() const;
 
   /// Creates a secondary index on `field_path`, backfilling existing
   /// documents. Fails with AlreadyExists if one exists on that path.
@@ -438,31 +418,9 @@ class Collection {
   /// \brief Creates a compound secondary index on `field_paths` in the
   /// given component order, backfilling existing documents. Components
   /// must be non-empty, free of control characters and ',' (reserved
-  /// by the snapshot record encoding and the canonical name) and
-  /// distinct within the index; AlreadyExists if an index with the
-  /// same canonical name exists.
+  /// by the canonical name) and distinct within the index;
+  /// AlreadyExists if an index with the same canonical name exists.
   Status CreateIndex(const std::vector<std::string>& field_paths);
-
-  /// True if a secondary index exists on `field_path` (the canonical
-  /// name: comma-joined component paths for compound indexes).
-  bool HasIndex(const std::string& field_path) const;
-
-  /// The index whose canonical name is `field_path` (including "_id"),
-  /// or nullptr (legacy borrow: stable until the next mutation).
-  const SecondaryIndex* IndexOn(const std::string& field_path) const;
-
-  /// Every index (the "_id" index first, then user indexes in creation
-  /// order) — the planner's candidate set for access-path selection.
-  std::vector<const SecondaryIndex*> Indexes() const;
-
-  /// Ids of documents whose `field_path` equals `value`; uses the index
-  /// when present, otherwise falls back to a full scan.
-  std::vector<DocId> FindEqual(const std::string& field_path,
-                               const DocValue& value) const;
-
-  /// Ids with `field_path` in [lo, hi]; index-backed when possible.
-  std::vector<DocId> FindRange(const std::string& field_path,
-                               const DocValue& lo, const DocValue& hi) const;
 
   int64_t count() const;
 
@@ -485,10 +443,6 @@ class Collection {
   size_t retained_version_count() const;
 
   const CollectionOptions& options() const { return state_->opts; }
-
-  /// Component path lists of the user-created secondary indexes, in
-  /// creation order (snapshot persistence; "_id" excluded).
-  std::vector<std::vector<std::string>> IndexSpecs() const;
 
   /// Id that the next `Insert` will assign.
   DocId next_id() const;
@@ -525,11 +479,12 @@ class Collection {
   void RestoreLineage(uint64_t incarnation, uint64_t epoch);
 
   /// \brief Adopts persisted per-index statistics (snapshot loading),
-  /// one record per index in `Indexes()` order ("_id" first, then user
-  /// indexes in creation order). Replaces the stats the restore
-  /// inserts built incrementally — the saving writer's stats reflect
-  /// its full mutation history, not an id-order reinsertion — so
-  /// save -> load -> save round-trips them byte-identically.
+  /// one record per index in `CollectionView::Indexes()` order ("_id"
+  /// first, then user indexes in creation order). Replaces the stats
+  /// the restore inserts built incrementally — the saving writer's
+  /// stats reflect its full mutation history, not an id-order
+  /// reinsertion — so save -> load -> save round-trips them
+  /// byte-identically.
   /// InvalidArgument when the record count does not match the index
   /// count.
   Status RestoreIndexStats(std::vector<IndexStats> stats);
@@ -544,17 +499,8 @@ class Collection {
   /// The `db.<coll>.stats()` snapshot.
   CollectionStats Stats() const;
 
-  // ---- Query-path accounting (filled by query::planner) ----
-
-  /// Records that a query was served via an index access path / via a
-  /// full scan. Counters are observational (mutable): recording against
-  /// a const collection is expected.
-  void NoteIndexScan() const {
-    state_->index_scans.fetch_add(1, std::memory_order_relaxed);
-  }
-  void NoteCollScan() const {
-    state_->coll_scans.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Queries served via an index access path / via a full scan
+  /// (recorded through `CollectionView::NoteIndexScan/NoteCollScan`).
   int64_t index_scans() const {
     return state_->index_scans.load(std::memory_order_relaxed);
   }

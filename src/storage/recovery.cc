@@ -105,8 +105,7 @@ Status EncodeMutationPayload(const std::string& collection,
       w.PutU64(ev.id);
       break;
     case MutationEvent::Op::kCreateIndex:
-      w.PutU32(static_cast<uint32_t>(ev.index_paths->size()));
-      for (const std::string& p : *ev.index_paths) w.PutString(p);
+      PutIndexSpec(&w, *ev.index_paths);
       break;
   }
   return Status::OK();

@@ -25,72 +25,6 @@ namespace {
 constexpr uint8_t kKindStore = 1;
 constexpr uint8_t kKindCollection = 2;
 
-// ---- index metadata records -------------------------------------------
-//
-// A single-field index persists as its raw field path — byte-identical
-// to the pre-compound snapshot format, so old snapshots load unchanged
-// and snapshots holding only single-field indexes keep their old bytes.
-// A compound index persists as a versioned record whose leading control
-// byte can never begin a valid field path (Collection::CreateIndex
-// rejects control characters and ',' in paths). One caveat: a
-// pre-compound snapshot whose index path contains one of those
-// now-reserved bytes (creatable through the old unvalidated
-// CreateIndex, never produced by this codebase's pipelines or tests)
-// is rejected at load as kCorruption rather than silently risking a
-// canonical-name collision.
-
-constexpr char kIndexRecordMagic = '\x01';    // compound record marker
-constexpr char kIndexRecordKind = 'C';        // compound
-constexpr char kIndexRecordVersion = '\x01';  // record format version
-constexpr char kIndexPathSeparator = '\x1f';  // joins component paths
-
-std::string EncodeIndexRecord(const std::vector<std::string>& paths) {
-  if (paths.size() == 1) return paths[0];
-  std::string out;
-  out.push_back(kIndexRecordMagic);
-  out.push_back(kIndexRecordKind);
-  out.push_back(kIndexRecordVersion);
-  for (size_t i = 0; i < paths.size(); ++i) {
-    if (i > 0) out.push_back(kIndexPathSeparator);
-    out += paths[i];
-  }
-  return out;
-}
-
-Status DecodeIndexRecord(const std::string& record,
-                         std::vector<std::string>* paths) {
-  paths->clear();
-  if (record.empty()) {
-    return Status::Corruption("empty index metadata record");
-  }
-  if (record[0] != kIndexRecordMagic) {
-    paths->push_back(record);  // pre-compound format: the path itself
-    return Status::OK();
-  }
-  if (record.size() < 4 || record[1] != kIndexRecordKind ||
-      record[2] != kIndexRecordVersion) {
-    return Status::Corruption("unrecognized index metadata record version");
-  }
-  size_t at = 3;
-  while (true) {
-    size_t sep = record.find(kIndexPathSeparator, at);
-    paths->push_back(record.substr(at, sep == std::string::npos
-                                           ? std::string::npos
-                                           : sep - at));
-    if (sep == std::string::npos) break;
-    at = sep + 1;
-  }
-  for (const std::string& p : *paths) {
-    if (p.empty()) {
-      return Status::Corruption("empty component in compound index record");
-    }
-  }
-  if (paths->size() < 2) {
-    return Status::Corruption("compound index record with one component");
-  }
-  return Status::OK();
-}
-
 /// Directory component of `path` ("" when it has none — the cwd).
 std::string DirOf(const std::string& path) {
   size_t slash = path.find_last_of('/');
@@ -162,7 +96,7 @@ Status WriteCollectionSection(const CollectionView& coll, ThreadPool* pool,
   w.PutU64(static_cast<uint64_t>(copts.initial_extent_size_bytes));
   w.PutU64(static_cast<uint64_t>(copts.max_extent_size_bytes));
   w.PutU64(coll.next_id());
-  // v2 epoch lineage: the incarnation id and mutation epoch ride the
+  // Epoch lineage: the incarnation id and mutation epoch ride the
   // snapshot so a reloaded collection keeps its lineage (and re-saving
   // an untouched load stays byte-identical), while resume tokens
   // minted before the save can never be accepted after a restart —
@@ -171,8 +105,8 @@ Status WriteCollectionSection(const CollectionView& coll, ThreadPool* pool,
   w.PutU64(coll.mutation_epoch());
   std::vector<std::vector<std::string>> index_specs = coll.IndexSpecs();
   w.PutU32(static_cast<uint32_t>(index_specs.size()));
-  for (const auto& spec : index_specs) w.PutString(EncodeIndexRecord(spec));
-  // v3 per-index statistics: one full-state record per index in
+  for (const auto& spec : index_specs) PutIndexSpec(&w, spec);
+  // Per-index statistics: one full-state record per index in
   // Indexes() order ("_id" first, then creation order). The load path
   // adopts these after rebuilding the indexes — the writer's stats
   // reflect its whole mutation history, which an id-order reinsertion
@@ -222,12 +156,9 @@ Status WriteCollectionSection(const CollectionView& coll, ThreadPool* pool,
 
 /// Reads one collection section at the reader's cursor into a fresh
 /// collection constructed from the persisted ns/options. Secondary
-/// indexes are rebuilt from the persisted field paths. `codec_version`
-/// selects the section layout: v2 sections carry epoch lineage
-/// (incarnation + mutation epoch) after next_id, v1 sections do not
-/// (the loaded collection keeps its fresh random incarnation).
-Result<std::unique_ptr<Collection>> ReadCollectionSection(
-    BinaryReader* r, ThreadPool* pool, uint16_t codec_version) {
+/// indexes are rebuilt from the persisted field paths.
+Result<std::unique_ptr<Collection>> ReadCollectionSection(BinaryReader* r,
+                                                          ThreadPool* pool) {
   std::string ns;
   DT_RETURN_NOT_OK(r->ReadString(&ns));
   CollectionOptions copts;
@@ -238,10 +169,8 @@ Result<std::unique_ptr<Collection>> ReadCollectionSection(
   DT_RETURN_NOT_OK(r->ReadU64(&init_extent));
   DT_RETURN_NOT_OK(r->ReadU64(&max_extent));
   DT_RETURN_NOT_OK(r->ReadU64(&next_id));
-  if (codec_version >= 2) {
-    DT_RETURN_NOT_OK(r->ReadU64(&incarnation));
-    DT_RETURN_NOT_OK(r->ReadU64(&epoch));
-  }
+  DT_RETURN_NOT_OK(r->ReadU64(&incarnation));
+  DT_RETURN_NOT_OK(r->ReadU64(&epoch));
   if (num_shards == 0 || num_shards > (1u << 20)) {
     return Status::Corruption("implausible shard count " +
                               std::to_string(num_shards));
@@ -257,8 +186,8 @@ Result<std::unique_ptr<Collection>> ReadCollectionSection(
 
   uint32_t index_count = 0;
   DT_RETURN_NOT_OK(r->ReadU32(&index_count));
-  // Each path costs >= 4 bytes (its length prefix) in the file.
-  if (index_count > r->remaining() / 4) {
+  // Each spec costs >= 8 bytes (its count + one path length prefix).
+  if (index_count > r->remaining() / 8) {
     return Status::Corruption("index count " + std::to_string(index_count) +
                               " exceeds remaining bytes");
   }
@@ -266,38 +195,32 @@ Result<std::unique_ptr<Collection>> ReadCollectionSection(
   // Clamped reserve: growth past it is paid only as entries really read.
   index_specs.reserve(std::min<uint32_t>(index_count, 1u << 10));
   for (uint32_t i = 0; i < index_count; ++i) {
-    std::string record;
-    DT_RETURN_NOT_OK(r->ReadString(&record));
     std::vector<std::string> paths;
-    DT_RETURN_NOT_OK(DecodeIndexRecord(record, &paths));
+    DT_RETURN_NOT_OK(ReadIndexSpec(r, &paths));
     index_specs.push_back(std::move(paths));
   }
 
-  // v3 per-index statistics records; adopted after the index rebuild
-  // below. Older sections leave the vector empty and keep the stats
-  // the restore inserts build incrementally (deterministic, just not
-  // the saving writer's history).
+  // Per-index statistics records, adopted after the index rebuild
+  // below.
+  uint32_t stats_count = 0;
+  DT_RETURN_NOT_OK(r->ReadU32(&stats_count));
+  if (stats_count != index_count + 1) {
+    return Status::Corruption("stats record count " +
+                              std::to_string(stats_count) + " for " +
+                              std::to_string(index_count + 1) + " indexes");
+  }
   std::vector<IndexStats> index_stats;
-  if (codec_version >= 3) {
-    uint32_t stats_count = 0;
-    DT_RETURN_NOT_OK(r->ReadU32(&stats_count));
-    if (stats_count != index_count + 1) {
-      return Status::Corruption("stats record count " +
-                                std::to_string(stats_count) + " for " +
-                                std::to_string(index_count + 1) + " indexes");
+  index_stats.reserve(stats_count);
+  for (uint32_t i = 0; i < stats_count; ++i) {
+    std::string blob;
+    DT_RETURN_NOT_OK(r->ReadString(&blob));
+    BinaryReader sr(blob);
+    IndexStats s;
+    DT_RETURN_NOT_OK(IndexStats::DecodeFrom(&sr, &s));
+    if (sr.remaining() != 0) {
+      return Status::Corruption("trailing bytes in index stats record");
     }
-    index_stats.reserve(stats_count);
-    for (uint32_t i = 0; i < stats_count; ++i) {
-      std::string blob;
-      DT_RETURN_NOT_OK(r->ReadString(&blob));
-      BinaryReader sr(blob);
-      IndexStats s;
-      DT_RETURN_NOT_OK(IndexStats::DecodeFrom(&sr, &s));
-      if (sr.remaining() != 0) {
-        return Status::Corruption("trailing bytes in index stats record");
-      }
-      index_stats.push_back(std::move(s));
-    }
+    index_stats.push_back(std::move(s));
   }
 
   DT_RETURN_NOT_OK(r->ReadU64(&doc_count));
@@ -407,19 +330,17 @@ Result<std::unique_ptr<Collection>> ReadCollectionSection(
                                 st.ToString());
     }
   }
-  if (!index_stats.empty()) {
-    Status st = coll->RestoreIndexStats(std::move(index_stats));
-    if (!st.ok()) {
-      return Status::Corruption("invalid snapshot index stats: " +
-                                st.ToString());
-    }
+  Status st = coll->RestoreIndexStats(std::move(index_stats));
+  if (!st.ok()) {
+    return Status::Corruption("invalid snapshot index stats: " +
+                              st.ToString());
   }
   // Adopt the persisted lineage last: restore/CreateIndex above bump
   // the mutation epoch, and the loaded collection must report exactly
   // the persisted (incarnation, epoch) so save -> load -> save is
   // byte-identical. The version id stays this process's fresh random
   // draw, which is what rejects pre-save resume tokens after a load.
-  if (codec_version >= 2) coll->RestoreLineage(incarnation, epoch);
+  coll->RestoreLineage(incarnation, epoch);
   return coll;
 }
 
@@ -430,9 +351,8 @@ Status WriteHeader(uint8_t kind, std::string* out) {
   return Status::OK();
 }
 
-Status ReadHeader(BinaryReader* r, uint8_t expected_kind,
-                  uint16_t* codec_version) {
-  DT_RETURN_NOT_OK(ReadCodecHeader(r, codec_version));
+Status ReadHeader(BinaryReader* r, uint8_t expected_kind) {
+  DT_RETURN_NOT_OK(ReadCodecHeader(r));
   uint8_t kind = 0;
   DT_RETURN_NOT_OK(r->ReadU8(&kind));
   if (kind != expected_kind) {
@@ -570,8 +490,7 @@ Result<std::unique_ptr<DocumentStore>> DecodeStoreSnapshot(
   std::unique_ptr<ThreadPool> pool_holder;
   ThreadPool* pool = MakePool(opts, &pool_holder);
   BinaryReader r(buf);
-  uint16_t codec_version = 0;
-  DT_RETURN_NOT_OK(ReadHeader(&r, kKindStore, &codec_version));
+  DT_RETURN_NOT_OK(ReadHeader(&r, kKindStore));
   std::string db_name;
   DT_RETURN_NOT_OK(r.ReadString(&db_name));
   uint32_t count = 0;
@@ -585,7 +504,7 @@ Result<std::unique_ptr<DocumentStore>> DecodeStoreSnapshot(
     std::string name;
     DT_RETURN_NOT_OK(r.ReadString(&name));
     DT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> coll,
-                        ReadCollectionSection(&r, pool, codec_version));
+                        ReadCollectionSection(&r, pool));
     Status st = store->AdoptCollection(name, std::move(coll));
     if (!st.ok()) {
       // A duplicate collection name means the file is bad.
@@ -642,10 +561,9 @@ Result<std::unique_ptr<Collection>> LoadCollectionSnapshot(
   std::string buf;
   DT_RETURN_NOT_OK(ReadFileToString(path, &buf));
   BinaryReader r(buf);
-  uint16_t codec_version = 0;
-  DT_RETURN_NOT_OK(ReadHeader(&r, kKindCollection, &codec_version));
+  DT_RETURN_NOT_OK(ReadHeader(&r, kKindCollection));
   DT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> coll,
-                      ReadCollectionSection(&r, pool, codec_version));
+                      ReadCollectionSection(&r, pool));
   if (r.remaining() != 0) {
     return Status::Corruption(std::to_string(r.remaining()) +
                               " trailing bytes after collection");

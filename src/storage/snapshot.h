@@ -11,7 +11,7 @@
 ///
 /// File layout (all framing via storage/codec.h, little-endian):
 ///
-///   codec header ("DTB1", version, flags)
+///   codec header ("DTB1", version, flags); only kCodecVersion loads
 ///   u8 kind              1 = DocumentStore snapshot, 2 = Collection
 ///   [store only]         db_name string, u32 collection count
 ///   per collection:
@@ -19,23 +19,18 @@
 ///     ns string
 ///     options            u32 num_shards, u64 initial/max extent bytes
 ///     u64 next_id
-///     epoch lineage      u64 incarnation + u64 mutation epoch (codec
-///                        version >= 2 only; v1 sections omit both and
-///                        load with a fresh incarnation). Loading
+///     epoch lineage      u64 incarnation + u64 mutation epoch. Loading
 ///                        adopts the lineage, so save -> load -> save
 ///                        is byte-identical — but resume tokens minted
 ///                        before the save are still rejected after a
 ///                        load, because token validity is keyed on the
 ///                        never-persisted random version id.
-///     index metadata     u32 count + one record string per index:
-///                        a single-field index is its raw field path
-///                        (the pre-compound format, unchanged byte for
-///                        byte); a compound index is a versioned record
-///                        `0x01 'C' 0x01` + component paths joined by
-///                        0x1f. Field paths cannot contain control
-///                        characters (Collection::CreateIndex rejects
-///                        them), so the leading byte disambiguates and
-///                        old snapshots load unchanged.
+///     index specs        u32 count, then per user index its component
+///                        paths as u32 count + path strings (the
+///                        `PutIndexSpec` layout the WAL shares)
+///     index statistics   u32 count (user indexes + 1), then one
+///                        `IndexStats` record string per index, "_id"
+///                        first
 ///     u64 doc_count
 ///     chunk directory    u32 chunk count, then per chunk
 ///                        u32 doc count + u64 payload bytes

@@ -86,8 +86,7 @@ Status EncodeWalRecord(const WalRecord& rec, std::string* payload) {
       w.PutU64(rec.id);
       break;
     case WalRecord::Op::kCreateIndex:
-      w.PutU32(static_cast<uint32_t>(rec.index_paths.size()));
-      for (const std::string& p : rec.index_paths) w.PutString(p);
+      PutIndexSpec(&w, rec.index_paths);
       break;
     case WalRecord::Op::kCreateCollection:
       w.PutString(rec.ns);
@@ -137,22 +136,9 @@ Status DecodeWalRecord(std::string_view payload, WalRecord* out) {
       out->id = static_cast<DocId>(id);
       break;
     }
-    case WalRecord::Op::kCreateIndex: {
-      uint32_t count = 0;
-      DT_RETURN_NOT_OK(r.ReadU32(&count));
-      // Each path costs >= 4 bytes (its length prefix).
-      if (count == 0 || count > r.remaining() / 4) {
-        return Status::Corruption("implausible index component count " +
-                                  std::to_string(count));
-      }
-      out->index_paths.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        std::string p;
-        DT_RETURN_NOT_OK(r.ReadString(&p));
-        out->index_paths.push_back(std::move(p));
-      }
+    case WalRecord::Op::kCreateIndex:
+      DT_RETURN_NOT_OK(ReadIndexSpec(&r, &out->index_paths));
       break;
-    }
     case WalRecord::Op::kCreateCollection: {
       DT_RETURN_NOT_OK(r.ReadString(&out->ns));
       DT_RETURN_NOT_OK(r.ReadU32(&out->num_shards));

@@ -118,13 +118,17 @@ TEST(CodecTest, HeaderRejectsBadMagicAndVersion) {
     Status st = ReadCodecHeader(&r);
     EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   }
-  {
+  // A newer version and the previous one are both rejected: a reader
+  // accepts exactly kCodecVersion.
+  for (int version : {kCodecVersion + 1, kCodecVersion - 1}) {
     std::string bad = buf;
-    bad[4] = static_cast<char>(kCodecVersion + 1);
+    bad[4] = static_cast<char>(version);
     BinaryReader r(bad);
     Status st = ReadCodecHeader(&r);
     EXPECT_TRUE(st.IsCorruption());
-    EXPECT_NE(st.message().find("version"), std::string::npos);
+    EXPECT_NE(st.message().find("version " + std::to_string(version)),
+              std::string::npos)
+        << st.ToString();
   }
 }
 

@@ -21,12 +21,23 @@ DocValue MakeDoc(int i) {
       .Build();
 }
 
+/// Ids whose `path` equals `value`, read off the index on `path` in
+/// the currently published version.
+std::vector<DocId> IndexLookup(const Collection& coll, const std::string& path,
+                               const DocValue& value) {
+  const CollectionView view = coll.GetView();
+  const SecondaryIndex* idx = view.IndexOn(path);
+  EXPECT_NE(idx, nullptr) << path;
+  return idx == nullptr ? std::vector<DocId>{} : idx->Lookup(value);
+}
+
 TEST(CollectionTest, InsertAssignsIdsAndIdField) {
   Collection coll("dt.test");
   DocId a = coll.Insert(MakeDoc(1));
   DocId b = coll.Insert(MakeDoc(2));
   EXPECT_NE(a, b);
-  const DocValue* doc = coll.Get(a);
+  const CollectionView view = coll.GetView();
+  const DocValue* doc = view.Get(a);
   ASSERT_NE(doc, nullptr);
   ASSERT_NE(doc->Find("_id"), nullptr);
   EXPECT_EQ(doc->Find("_id")->int_value(), static_cast<int64_t>(a));
@@ -35,17 +46,17 @@ TEST(CollectionTest, InsertAssignsIdsAndIdField) {
 
 TEST(CollectionTest, GetMissingReturnsNull) {
   Collection coll("dt.test");
-  EXPECT_EQ(coll.Get(12345), nullptr);
+  EXPECT_EQ(coll.GetView().Get(12345), nullptr);
 }
 
 TEST(CollectionTest, UpdateReplacesAndReindexes) {
   Collection coll("dt.test");
   ASSERT_TRUE(coll.CreateIndex("type").ok());
   DocId id = coll.Insert(MakeDoc(2));  // type Movie
-  ASSERT_EQ(coll.FindEqual("type", DocValue::Str("Movie")).size(), 1u);
+  ASSERT_EQ(IndexLookup(coll, "type", DocValue::Str("Movie")).size(), 1u);
   ASSERT_TRUE(coll.Update(id, MakeDoc(3)).ok());  // type Person
-  EXPECT_TRUE(coll.FindEqual("type", DocValue::Str("Movie")).empty());
-  ASSERT_EQ(coll.FindEqual("type", DocValue::Str("Person")).size(), 1u);
+  EXPECT_TRUE(IndexLookup(coll, "type", DocValue::Str("Movie")).empty());
+  ASSERT_EQ(IndexLookup(coll, "type", DocValue::Str("Person")).size(), 1u);
 }
 
 TEST(CollectionTest, UpdateMissingFails) {
@@ -58,9 +69,9 @@ TEST(CollectionTest, RemoveDeletesAndUnindexes) {
   ASSERT_TRUE(coll.CreateIndex("type").ok());
   DocId id = coll.Insert(MakeDoc(2));
   ASSERT_TRUE(coll.Remove(id).ok());
-  EXPECT_EQ(coll.Get(id), nullptr);
+  EXPECT_EQ(coll.GetView().Get(id), nullptr);
   EXPECT_EQ(coll.count(), 0);
-  EXPECT_TRUE(coll.FindEqual("type", DocValue::Str("Movie")).empty());
+  EXPECT_TRUE(IndexLookup(coll, "type", DocValue::Str("Movie")).empty());
   EXPECT_TRUE(coll.Remove(id).IsNotFound());
 }
 
@@ -69,7 +80,7 @@ TEST(CollectionTest, ForEachVisitsInIdOrder) {
   for (int i = 0; i < 10; ++i) coll.Insert(MakeDoc(i));
   DocId prev = 0;
   int visits = 0;
-  coll.ForEach([&](DocId id, const DocValue&) {
+  coll.GetView().ForEach([&](DocId id, const DocValue&) {
     EXPECT_GT(id, prev);
     prev = id;
     ++visits;
@@ -79,7 +90,7 @@ TEST(CollectionTest, ForEachVisitsInIdOrder) {
 
 TEST(CollectionTest, DefaultIdIndexExists) {
   Collection coll("dt.test");
-  EXPECT_TRUE(coll.HasIndex("_id"));
+  EXPECT_TRUE(coll.GetView().HasIndex("_id"));
   EXPECT_EQ(coll.Stats().nindexes, 1);
 }
 
@@ -87,8 +98,8 @@ TEST(CollectionTest, CreateIndexBackfillsExistingDocs) {
   Collection coll("dt.test");
   for (int i = 0; i < 20; ++i) coll.Insert(MakeDoc(i));
   ASSERT_TRUE(coll.CreateIndex("type").ok());
-  EXPECT_EQ(coll.FindEqual("type", DocValue::Str("Movie")).size(), 10u);
-  EXPECT_EQ(coll.FindEqual("type", DocValue::Str("Person")).size(), 10u);
+  EXPECT_EQ(IndexLookup(coll, "type", DocValue::Str("Movie")).size(), 10u);
+  EXPECT_EQ(IndexLookup(coll, "type", DocValue::Str("Person")).size(), 10u);
 }
 
 TEST(CollectionTest, DuplicateIndexRejected) {
@@ -101,8 +112,9 @@ TEST(CollectionTest, CompoundIndexBasics) {
   Collection coll("dt.test");
   for (int i = 0; i < 10; ++i) coll.Insert(MakeDoc(i));
   ASSERT_TRUE(coll.CreateIndex({"type", "score"}).ok());
-  EXPECT_TRUE(coll.HasIndex("type,score"));
-  const SecondaryIndex* idx = coll.IndexOn("type,score");
+  const CollectionView view = coll.GetView();
+  EXPECT_TRUE(view.HasIndex("type,score"));
+  const SecondaryIndex* idx = view.IndexOn("type,score");
   ASSERT_NE(idx, nullptr);
   EXPECT_TRUE(idx->is_compound());
   EXPECT_EQ(idx->width(), 2);
@@ -122,7 +134,7 @@ TEST(CollectionTest, CompoundIndexBasics) {
   double prev = -1;
   int seen = 0;
   while (scan.Next(&key, &id)) {
-    const DocValue* doc = coll.Get(id);
+    const DocValue* doc = view.Get(id);
     ASSERT_NE(doc, nullptr);
     double score = doc->FindPath("score")->double_value();
     EXPECT_GE(score, prev);
@@ -154,20 +166,22 @@ TEST(CollectionTest, CompoundIndexMaintainedOnUpdateAndRemove) {
   DocId a = coll.Insert(MakeDoc(0));
   DocId b = coll.Insert(MakeDoc(2));
   ASSERT_TRUE(coll.CreateIndex({"type", "name"}).ok());
-  const SecondaryIndex* idx = coll.IndexOn("type,name");
-  ASSERT_NE(idx, nullptr);
-  EXPECT_EQ(idx->Lookup(DocValue::Str("Movie")).size(), 2u);
+  const CollectionView before = coll.GetView();
+  EXPECT_EQ(IndexLookup(coll, "type,name", DocValue::Str("Movie")).size(), 2u);
   ASSERT_TRUE(coll.Update(a, MakeDoc(1)).ok());  // now a Person
-  EXPECT_EQ(idx->Lookup(DocValue::Str("Movie")).size(), 1u);
+  EXPECT_EQ(IndexLookup(coll, "type,name", DocValue::Str("Movie")).size(), 1u);
   ASSERT_TRUE(coll.Remove(b).ok());
-  EXPECT_TRUE(idx->Lookup(DocValue::Str("Movie")).empty());
-  EXPECT_EQ(idx->entry_count(), 1);
+  EXPECT_TRUE(IndexLookup(coll, "type,name", DocValue::Str("Movie")).empty());
+  EXPECT_EQ(coll.GetView().IndexOn("type,name")->entry_count(), 1);
+  // The view pinned before the writes still sees its own index state.
+  EXPECT_EQ(before.IndexOn("type,name")->Lookup(DocValue::Str("Movie")).size(),
+            2u);
 }
 
 TEST(CollectionTest, DocCursorPullsEveryDocInIdOrder) {
   Collection coll("dt.test");
   for (int i = 0; i < 7; ++i) coll.Insert(MakeDoc(i));
-  auto cursor = coll.ScanDocs();
+  auto cursor = coll.GetView().ScanDocs();
   DocId id;
   const DocValue* doc;
   DocId prev = 0;
@@ -181,27 +195,14 @@ TEST(CollectionTest, DocCursorPullsEveryDocInIdOrder) {
   EXPECT_EQ(n, 7);
 }
 
-TEST(CollectionTest, FindEqualWithoutIndexFallsBackToScan) {
-  Collection coll("dt.test");
-  for (int i = 0; i < 6; ++i) coll.Insert(MakeDoc(i));
-  auto ids = coll.FindEqual("type", DocValue::Str("Movie"));
-  EXPECT_EQ(ids.size(), 3u);
-}
-
-TEST(CollectionTest, FindRangeNumeric) {
+TEST(CollectionTest, IndexRangeNumeric) {
   Collection coll("dt.test");
   for (int i = 0; i < 10; ++i) coll.Insert(MakeDoc(i));
   ASSERT_TRUE(coll.CreateIndex("score").ok());
   // scores are 0, 1.5, 3, ..., 13.5
-  auto ids = coll.FindRange("score", DocValue::Double(3.0),
-                            DocValue::Double(6.0));
+  auto ids = coll.GetView().IndexOn("score")->Range(DocValue::Double(3.0),
+                                                    DocValue::Double(6.0));
   EXPECT_EQ(ids.size(), 3u);  // 3, 4.5, 6
-  // Scan fallback agrees.
-  Collection noidx("dt.test2");
-  for (int i = 0; i < 10; ++i) noidx.Insert(MakeDoc(i));
-  EXPECT_EQ(noidx.FindRange("score", DocValue::Double(3.0),
-                            DocValue::Double(6.0)).size(),
-            3u);
 }
 
 TEST(CollectionTest, NestedPathIndex) {
@@ -210,7 +211,7 @@ TEST(CollectionTest, NestedPathIndex) {
   doc.Add("meta", DocBuilder().Set("kind", "blog").Build());
   coll.Insert(doc);
   ASSERT_TRUE(coll.CreateIndex("meta.kind").ok());
-  EXPECT_EQ(coll.FindEqual("meta.kind", DocValue::Str("blog")).size(), 1u);
+  EXPECT_EQ(IndexLookup(coll, "meta.kind", DocValue::Str("blog")).size(), 1u);
 }
 
 TEST(CollectionStatsTest, CountsDocsAndExtents) {

@@ -107,7 +107,8 @@ TEST(ConcurrencyStressTest, ReadersStayConsistentUnderConcurrentWriter) {
   std::thread writer([&coll, &done] {
     Rng rng(99);
     std::vector<DocId> live;
-    coll.ForEach([&](DocId id, const DocValue&) { live.push_back(id); });
+    coll.GetView().ForEach(
+        [&](DocId id, const DocValue&) { live.push_back(id); });
     const int kOps = 400;
     for (int op = 0; op < kOps; ++op) {
       double r = rng.NextDouble();
@@ -176,7 +177,7 @@ TEST(ConcurrencyStressTest, ReadersStayConsistentUnderConcurrentWriter) {
   // checks, and the writer's churn really happened.
   CheckDifferential(coll.GetView());
   CheckStitchedPagination(coll.GetView());
-  EXPECT_TRUE(coll.HasIndex("score"));
+  EXPECT_TRUE(coll.GetView().HasIndex("score"));
 }
 
 TEST(ConcurrencyStressTest, TokenResumesAcrossWriterChurnOrRejectsCleanly) {
@@ -210,7 +211,7 @@ TEST(ConcurrencyStressTest, TokenResumesAcrossWriterChurnOrRejectsCleanly) {
       auto expected = Find(coll.GetView(), pred, whole);
       ASSERT_TRUE(expected.ok());
       std::vector<DocId> stitched;
-      auto page = FindPage(coll, pred, paged);
+      auto page = FindPage(coll.GetView(), pred, paged);
       bool restarted = false;
       while (true) {
         if (!page.ok()) {
@@ -229,7 +230,7 @@ TEST(ConcurrencyStressTest, TokenResumesAcrossWriterChurnOrRejectsCleanly) {
         if (page->next_token.empty()) break;
         FindOptions resume = paged;
         resume.resume_token = page->next_token;
-        page = FindPage(coll, pred, resume);
+        page = FindPage(coll.GetView(), pred, resume);
       }
       if (restarted) continue;
       // A completed stream served one consistent pinned version: at

@@ -211,7 +211,9 @@ TEST_F(DataTamerTest, SearchFragmentsFindsTheGrossesStory) {
   IngestText();
   auto hits = tamer_->SearchFragments("matilda grossed", 5);
   ASSERT_FALSE(hits.empty());
-  const auto* doc = tamer_->instance_collection()->Get(hits[0].doc_id);
+  const storage::CollectionView fragments =
+      tamer_->instance_collection()->GetView();
+  const auto* doc = fragments.Get(hits[0].doc_id);
   ASSERT_NE(doc, nullptr);
   EXPECT_NE(doc->Find("text")->string_value().find("Matilda"),
             std::string::npos);
@@ -237,7 +239,7 @@ TEST_F(DataTamerTest, FragmentIndexAppliesAppendDeltasAndRebuildsOnRemoval) {
   auto incremental = tamer_->SearchFragments("quirkava", 5);
   ASSERT_EQ(incremental.size(), 2u);
   query::InvertedIndex oracle("text");
-  oracle.Build(*tamer_->instance_collection());
+  oracle.Build(tamer_->instance_collection()->GetView());
   auto rebuilt = oracle.Search("quirkava", 5);
   ASSERT_EQ(rebuilt.size(), incremental.size());
   for (size_t i = 0; i < rebuilt.size(); ++i) {

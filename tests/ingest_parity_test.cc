@@ -12,9 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,6 +26,7 @@
 #include "fusion/data_tamer.h"
 #include "query/request.h"
 #include "storage/codec.h"
+#include "test_files.h"
 
 namespace dt::fusion {
 namespace {
@@ -38,24 +36,6 @@ using dedup::ConsolidationOptions;
 using dedup::Consolidate;
 using dedup::DedupRecord;
 using dedup::StreamingConsolidator;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    path_ = ::testing::TempDir() + "dt_ingest_" + tag + "_" +
-            std::to_string(::getpid());
-    RemoveAll();
-  }
-  ~TempDir() { RemoveAll(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void RemoveAll() {
-    std::string cmd = "rm -rf '" + path_ + "'";
-    (void)!system(cmd.c_str());
-  }
-  std::string path_;
-};
 
 std::vector<DedupRecord> BaseCorpus(int64_t num_pairs, uint64_t seed) {
   datagen::DedupLabelOptions opts;
@@ -148,7 +128,7 @@ TEST(IngestParityDifferential, TwoHundredRandomInterleavings) {
 }
 
 TEST(FacadeIngestTest, MatchesBatchAndSurvivesDurableReopen) {
-  TempDir dir("reopen");
+  TempPath dir("reopen");
   auto corpus = BaseCorpus(20, 7);
   const size_t half = corpus.size() / 2;
 

@@ -46,28 +46,29 @@ TEST_P(PipelineScaleTest, InvariantsHold) {
   EXPECT_GE(tamer.entity_collection()->count(), mention_lower_bound);
   // Invariant 3: every entity doc references a live instance.
   int64_t dangling = 0;
-  tamer.entity_collection()->ForEach(
-      [&](storage::DocId, const storage::DocValue& doc) {
-        const auto* iid = doc.Find("instance_id");
-        ASSERT_NE(iid, nullptr);
-        if (tamer.instance_collection()->Get(
-                static_cast<storage::DocId>(iid->int_value())) == nullptr) {
-          ++dangling;
-        }
-      });
+  const storage::CollectionView entities = tamer.entity_collection()->GetView();
+  const storage::CollectionView fragments =
+      tamer.instance_collection()->GetView();
+  entities.ForEach([&](storage::DocId, const storage::DocValue& doc) {
+    const auto* iid = doc.Find("instance_id");
+    ASSERT_NE(iid, nullptr);
+    if (fragments.Get(static_cast<storage::DocId>(iid->int_value())) ==
+        nullptr) {
+      ++dangling;
+    }
+  });
   EXPECT_EQ(dangling, 0);
   // Invariant 4: index-backed lookup agrees with a predicate scan.
-  auto via_index = tamer.entity_collection()->FindEqual(
-      "name", storage::DocValue::Str("Matilda"));
+  auto via_index =
+      entities.IndexOn("name")->Lookup(storage::DocValue::Str("Matilda"));
   int64_t via_scan = 0;
-  tamer.entity_collection()->ForEach(
-      [&](storage::DocId, const storage::DocValue& doc) {
-        const auto* name = doc.Find("name");
-        if (name != nullptr && name->is_string() &&
-            name->string_value() == "Matilda") {
-          ++via_scan;
-        }
-      });
+  entities.ForEach([&](storage::DocId, const storage::DocValue& doc) {
+    const auto* name = doc.Find("name");
+    if (name != nullptr && name->is_string() &&
+        name->string_value() == "Matilda") {
+      ++via_scan;
+    }
+  });
   EXPECT_EQ(static_cast<int64_t>(via_index.size()), via_scan);
 }
 

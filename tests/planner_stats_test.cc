@@ -36,14 +36,15 @@ std::vector<DocId> OracleOrdered(const Collection& coll,
                                  const PredicatePtr& p,
                                  const std::string& order_by, bool desc,
                                  int64_t limit) {
+  const storage::CollectionView view = coll.GetView();
   std::vector<DocId> ids;
-  coll.ForEach([&](DocId id, const DocValue& doc) {
+  view.ForEach([&](DocId id, const DocValue& doc) {
     if (p == nullptr || p->Matches(doc)) ids.push_back(id);
   });
   std::vector<std::string> paths = SplitOrderPaths(order_by);
   if (!paths.empty()) {
     auto keys_of = [&](DocId id) {
-      const DocValue* doc = coll.Get(id);
+      const DocValue* doc = view.Get(id);
       std::vector<IndexKey> keys;
       for (const std::string& path : paths) {
         const DocValue* v = doc == nullptr ? nullptr : doc->FindPath(path);
@@ -91,7 +92,7 @@ TEST(PlannerO1Test, PointFindEntryCountsBoundedSerialAndParallel) {
     opts.limit = 10;
     opts.num_threads = threads;
     opts.stats = &stats;
-    auto got = Find(coll, pred, opts);
+    auto got = Find(coll.GetView(), pred, opts);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->size(), 10u);
     if (threads == 1) {
@@ -115,7 +116,8 @@ TEST(PlannerO1Test, PointFindEntryCountsBoundedSerialAndParallel) {
   ExecStats stats;
   FindOptions opts;
   opts.stats = &stats;
-  auto rare = Find(coll, Predicate::Eq("bucket", DocValue::Str("rare")), opts);
+  auto rare = Find(coll.GetView(),
+                   Predicate::Eq("bucket", DocValue::Str("rare")), opts);
   ASSERT_TRUE(rare.ok());
   EXPECT_EQ(rare->size(), 2u);
   EXPECT_EQ(stats.estimate_exact, 1);
@@ -131,11 +133,11 @@ TEST(PlannerO1Test, ExplainRendersEstimateProvenance) {
     coll.Insert(
         DocBuilder().Set("bucket", i < 5 ? "rare" : "hot").Build());
   }
-  std::string exact =
-      ExplainFind(coll, Predicate::Eq("bucket", DocValue::Str("rare")));
+  std::string exact = ExplainFind(
+      coll.GetView(), Predicate::Eq("bucket", DocValue::Str("rare")));
   EXPECT_NE(exact.find("est=5 (exact)"), std::string::npos) << exact;
-  std::string hist =
-      ExplainFind(coll, Predicate::Eq("bucket", DocValue::Str("hot")));
+  std::string hist = ExplainFind(
+      coll.GetView(), Predicate::Eq("bucket", DocValue::Str("hot")));
   EXPECT_NE(hist.find("(hist)"), std::string::npos) << hist;
   EXPECT_NE(hist.find("est=~"), std::string::npos) << hist;
 }
@@ -159,22 +161,22 @@ TEST(PlannerO1Test, StatsEnableFilteredOrderWalkSwitch) {
   FindOptions opts;
   opts.order_by = "name";
   opts.limit = 10;
-  std::string with_stats = ExplainFind(coll, pred, opts);
+  std::string with_stats = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(with_stats.find("IXSCAN(name)"), std::string::npos) << with_stats;
   EXPECT_NE(with_stats.find("FILTER"), std::string::npos) << with_stats;
   EXPECT_EQ(with_stats.find("TOPK"), std::string::npos) << with_stats;
 
   FindOptions legacy = opts;
   legacy.debug_exact_count_planning = true;
-  std::string without = ExplainFind(coll, pred, legacy);
+  std::string without = ExplainFind(coll.GetView(), pred, legacy);
   EXPECT_EQ(without.find("FILTER"), std::string::npos) << without;
 
   // Both planners return identical results, and the walk stops after
   // ~limit entries instead of touching all 4000 matches.
   ExecStats stats;
   opts.stats = &stats;
-  auto a = Find(coll, pred, opts);
-  auto b = Find(coll, pred, legacy);
+  auto a = Find(coll.GetView(), pred, opts);
+  auto b = Find(coll.GetView(), pred, legacy);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
@@ -209,7 +211,7 @@ TEST(MultiFieldOrderTest, CompoundIndexCoversCommaSeparatedOrder) {
     opts.order_by = "type,name";
     opts.order_desc = desc;
     opts.limit = 25;
-    std::string explain = ExplainFind(coll, pred, opts);
+    std::string explain = ExplainFind(coll.GetView(), pred, opts);
     // Rendering shows the bound prefix only; coverage shows as the
     // order= marker with no SORT/TOPK operator.
     EXPECT_NE(explain.find("IXSCAN(type) { all }"), std::string::npos)
@@ -217,7 +219,7 @@ TEST(MultiFieldOrderTest, CompoundIndexCoversCommaSeparatedOrder) {
     EXPECT_NE(explain.find("order=type,name"), std::string::npos) << explain;
     EXPECT_EQ(explain.find("SORT"), std::string::npos) << explain;
     EXPECT_EQ(explain.find("TOPK"), std::string::npos) << explain;
-    auto got = Find(coll, pred, opts);
+    auto got = Find(coll.GetView(), pred, opts);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, OracleOrdered(coll, pred, "type,name", desc, 25))
         << "desc=" << desc;
@@ -232,14 +234,14 @@ TEST(MultiFieldOrderTest, EqBoundPrefixPlusConsecutiveComponentsCover) {
   FindOptions opts;
   opts.order_by = "name,seq";
   opts.limit = 12;
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("IXSCAN(type) { type == \"Movie\" }"),
             std::string::npos)
       << explain;
   EXPECT_NE(explain.find("order=name,seq"), std::string::npos) << explain;
   EXPECT_EQ(explain.find("SORT"), std::string::npos) << explain;
   EXPECT_EQ(explain.find("TOPK"), std::string::npos) << explain;
-  auto got = Find(coll, pred, opts);
+  auto got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, OracleOrdered(coll, pred, "name,seq", false, 12));
 }
@@ -251,18 +253,18 @@ TEST(MultiFieldOrderTest, UncoveredMultiFieldOrderFallsBackToSortOrTopK) {
   // No limit: SORT over both paths.
   FindOptions opts;
   opts.order_by = "name,seq";
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("SORT(name,seq)"), std::string::npos) << explain;
-  auto got = Find(coll, pred, opts);
+  auto got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, OracleOrdered(coll, pred, "name,seq", false, -1));
   // With a limit: fused TOPK, same oracle truncated.
   opts.limit = 7;
   opts.order_desc = true;
-  explain = ExplainFind(coll, pred, opts);
+  explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("TOPK(name,seq desc, k=7)"), std::string::npos)
       << explain;
-  got = Find(coll, pred, opts);
+  got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, OracleOrdered(coll, pred, "name,seq", true, 7));
 }
@@ -274,11 +276,11 @@ TEST(MultiFieldOrderTest, MergeUnionPaginatesUnderMultiFieldOrder) {
                              Predicate::Eq("type", DocValue::Str("Venue"))});
   FindOptions opts;
   opts.order_by = "name,seq";
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   ASSERT_NE(explain.find("MERGE_UNION"), std::string::npos) << explain;
 
   auto oracle = OracleOrdered(coll, pred, "name,seq", false, -1);
-  auto one_shot = Find(coll, pred, opts);
+  auto one_shot = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(one_shot.ok());
   EXPECT_EQ(*one_shot, oracle);
 
@@ -291,7 +293,7 @@ TEST(MultiFieldOrderTest, MergeUnionPaginatesUnderMultiFieldOrder) {
     std::vector<DocId> stitched;
     for (int pages = 0;; ++pages) {
       ASSERT_LT(pages, 500) << "pagination failed to terminate";
-      auto page = FindPage(coll, pred, paged);
+      auto page = FindPage(coll.GetView(), pred, paged);
       ASSERT_TRUE(page.ok()) << page.status().ToString();
       stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
       if (page->next_token.empty()) break;
@@ -370,11 +372,11 @@ TEST(PlanQualityDifferentialTest, StatsPlannerMatchesExactPlannerBoundedCost) {
 
     ExecStats stats_run, exact_run;
     opts.stats = &stats_run;
-    auto with_stats = Find(coll, pred, opts);
+    auto with_stats = Find(coll.GetView(), pred, opts);
     FindOptions legacy = opts;
     legacy.debug_exact_count_planning = true;
     legacy.stats = &exact_run;
-    auto with_exact = Find(coll, pred, legacy);
+    auto with_exact = Find(coll.GetView(), pred, legacy);
     ASSERT_TRUE(with_stats.ok()) << with_stats.status().ToString();
     ASSERT_TRUE(with_exact.ok()) << with_exact.status().ToString();
     ASSERT_EQ(*with_stats, *with_exact)

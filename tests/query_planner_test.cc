@@ -28,6 +28,7 @@
 #include "query/query.h"
 #include "query/text_search.h"
 #include "storage/collection.h"
+#include "test_files.h"
 
 namespace dt::query {
 namespace {
@@ -127,16 +128,17 @@ TEST(PlannerTest, EqPrefersIndex) {
   Collection coll = MakeEntities();
   ASSERT_TRUE(coll.CreateIndex("name").ok());
   auto pred = Predicate::Eq("name", DocValue::Str("Matilda"));
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   EXPECT_EQ(plan.access, AccessPath::kIndexEq);
   EXPECT_EQ(plan.estimated_rows, 5);
   EXPECT_FALSE(plan.residual);
-  EXPECT_NE(ExplainFind(coll, pred).find("IXSCAN"), std::string::npos);
+  EXPECT_NE(ExplainFind(coll.GetView(), pred).find("IXSCAN"),
+            std::string::npos);
 
-  auto via_index = Find(coll, pred);
+  auto via_index = Find(coll.GetView(), pred);
   FindOptions scan;
   scan.use_indexes = false;
-  auto via_scan = Find(coll, pred, scan);
+  auto via_scan = Find(coll.GetView(), pred, scan);
   ASSERT_TRUE(via_index.ok());
   ASSERT_TRUE(via_scan.ok());
   EXPECT_EQ(*via_index, *via_scan);
@@ -146,10 +148,11 @@ TEST(PlannerTest, EqPrefersIndex) {
 TEST(PlannerTest, UnindexedFallsBackToScan) {
   Collection coll = MakeEntities();
   auto pred = Predicate::Eq("name", DocValue::Str("Matilda"));
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   EXPECT_EQ(plan.access, AccessPath::kCollScan);
-  EXPECT_NE(ExplainFind(coll, pred).find("COLLSCAN"), std::string::npos);
-  auto ids = Find(coll, pred);
+  EXPECT_NE(ExplainFind(coll.GetView(), pred).find("COLLSCAN"),
+            std::string::npos);
+  auto ids = Find(coll.GetView(), pred);
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids->size(), 5u);
 }
@@ -159,9 +162,9 @@ TEST(PlannerTest, RangeUsesOrderedIndexScan) {
   ASSERT_TRUE(coll.CreateIndex("confidence").ok());
   auto pred = Predicate::Range("confidence", DocValue::Double(0.4),
                                DocValue::Double(0.6));
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   EXPECT_EQ(plan.access, AccessPath::kIndexRange);
-  auto ids = Find(coll, pred);
+  auto ids = Find(coll.GetView(), pred);
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids->size(), 10u);  // the Person rows at 0.5
   EXPECT_TRUE(std::is_sorted(ids->begin(), ids->end()));
@@ -175,12 +178,12 @@ TEST(PlannerTest, AndPicksMostSelectiveDriver) {
   // index must drive.
   auto pred = Predicate::And({Predicate::Eq("type", DocValue::Str("Movie")),
                               Predicate::Eq("name", DocValue::Str("Matilda"))});
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   EXPECT_EQ(plan.access, AccessPath::kIndexEq);
   ASSERT_NE(plan.driver, nullptr);
   EXPECT_EQ(plan.driver->path(), "name");
   EXPECT_TRUE(plan.residual);
-  auto ids = Find(coll, pred);
+  auto ids = Find(coll.GetView(), pred);
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids->size(), 5u);
 }
@@ -194,7 +197,7 @@ TEST(PlannerTest, ResidualCoveringWholeCollectionDemotesToScan) {
       {Predicate::Range("confidence", DocValue::Double(0.0),
                         DocValue::Double(1.0)),
        Predicate::Eq("name", DocValue::Str("Matilda"))});
-  EXPECT_EQ(PlanFind(coll, pred).access, AccessPath::kCollScan);
+  EXPECT_EQ(PlanFind(coll.GetView(), pred).access, AccessPath::kCollScan);
 }
 
 TEST(PlannerTest, OrOfIndexablesUnions) {
@@ -202,10 +205,10 @@ TEST(PlannerTest, OrOfIndexablesUnions) {
   ASSERT_TRUE(coll.CreateIndex("name").ok());
   auto pred = Predicate::Or({Predicate::Eq("name", DocValue::Str("Matilda")),
                              Predicate::Eq("name", DocValue::Str("Wicked"))});
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   EXPECT_EQ(plan.access, AccessPath::kUnion);
   EXPECT_EQ(plan.branches.size(), 2u);
-  auto ids = Find(coll, pred);
+  auto ids = Find(coll.GetView(), pred);
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids->size(), 30u);
   EXPECT_TRUE(std::is_sorted(ids->begin(), ids->end()));
@@ -217,8 +220,8 @@ TEST(PlannerTest, OrWithUnindexedBranchScansOnce) {
   auto pred =
       Predicate::Or({Predicate::Eq("name", DocValue::Str("Matilda")),
                      Predicate::Eq("type", DocValue::Str("Person"))});
-  EXPECT_EQ(PlanFind(coll, pred).access, AccessPath::kCollScan);
-  auto ids = Find(coll, pred);
+  EXPECT_EQ(PlanFind(coll.GetView(), pred).access, AccessPath::kCollScan);
+  auto ids = Find(coll.GetView(), pred);
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids->size(), 15u);
 }
@@ -230,25 +233,25 @@ TEST(PlannerTest, TextContainsRoutesThroughInvertedIndex) {
   coll.Insert(DocBuilder().Set("text", "Matilda and Wicked lead").Build());
   coll.Insert(DocBuilder().Set("other", 1).Build());
   InvertedIndex text_idx("text");
-  text_idx.Build(coll);
+  text_idx.Build(coll.GetView());
 
   FindOptions opts;
   opts.text_index = &text_idx;
   auto pred = Predicate::TextContains("text", "matilda");
-  QueryPlan plan = PlanFind(coll, pred, opts);
+  QueryPlan plan = PlanFind(coll.GetView(), pred, opts);
   EXPECT_EQ(plan.access, AccessPath::kTextIndex);
-  auto via_index = Find(coll, pred, opts);
+  auto via_index = Find(coll.GetView(), pred, opts);
   FindOptions scan;
   scan.use_indexes = false;
-  auto via_scan = Find(coll, pred, scan);
+  auto via_scan = Find(coll.GetView(), pred, scan);
   ASSERT_TRUE(via_index.ok());
   ASSERT_TRUE(via_scan.ok());
   EXPECT_EQ(*via_index, *via_scan);
   EXPECT_EQ(via_index->size(), 2u);
 
   // Unknown token: conjunction is empty, still via the text path.
-  auto none = Find(coll, Predicate::TextContains("text", "matilda zebra"),
-                   opts);
+  auto none = Find(coll.GetView(),
+                   Predicate::TextContains("text", "matilda zebra"), opts);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
 
@@ -256,7 +259,8 @@ TEST(PlannerTest, TextContainsRoutesThroughInvertedIndex) {
   InvertedIndex other_idx("body");
   FindOptions wrong;
   wrong.text_index = &other_idx;
-  EXPECT_EQ(PlanFind(coll, pred, wrong).access, AccessPath::kCollScan);
+  EXPECT_EQ(PlanFind(coll.GetView(), pred, wrong).access,
+            AccessPath::kCollScan);
 }
 
 TEST(PlannerTest, LimitTruncatesAscendingIds) {
@@ -265,7 +269,7 @@ TEST(PlannerTest, LimitTruncatesAscendingIds) {
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
   FindOptions opts;
   opts.limit = 3;
-  auto ids = Find(coll, pred, opts);
+  auto ids = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(ids.ok());
   ASSERT_EQ(ids->size(), 3u);
   EXPECT_EQ((*ids)[0], 1u);
@@ -274,7 +278,7 @@ TEST(PlannerTest, LimitTruncatesAscendingIds) {
 
 TEST(PlannerTest, NullPredicateIsAnError) {
   Collection coll = MakeEntities();
-  EXPECT_TRUE(Find(coll, nullptr).status().IsInvalidArgument());
+  EXPECT_TRUE(Find(coll.GetView(), nullptr).status().IsInvalidArgument());
 }
 
 TEST(PlannerTest, ParallelScanIdenticalToSerial) {
@@ -285,8 +289,8 @@ TEST(PlannerTest, ParallelScanIdenticalToSerial) {
   serial.use_indexes = false;
   FindOptions par = serial;
   par.num_threads = 4;
-  auto a = Find(coll, pred, serial);
-  auto b = Find(coll, pred, par);
+  auto a = Find(coll.GetView(), pred, serial);
+  auto b = Find(coll.GetView(), pred, par);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
@@ -297,8 +301,9 @@ TEST(PlannerTest, CountersFeedCollectionStats) {
   ASSERT_TRUE(coll.CreateIndex("name").ok());
   EXPECT_EQ(coll.index_scans(), 0);
   EXPECT_EQ(coll.coll_scans(), 0);
-  ASSERT_TRUE(Find(coll, Predicate::Eq("name", DocValue::Str("Matilda"))).ok());
-  ASSERT_TRUE(Find(coll, Predicate::Eq("type", DocValue::Str("Movie"))).ok());
+  const storage::CollectionView view = coll.GetView();
+  ASSERT_TRUE(Find(view, Predicate::Eq("name", DocValue::Str("Matilda"))).ok());
+  ASSERT_TRUE(Find(view, Predicate::Eq("type", DocValue::Str("Movie"))).ok());
   EXPECT_EQ(coll.index_scans(), 1);
   EXPECT_EQ(coll.coll_scans(), 1);
   auto st = coll.Stats();
@@ -318,20 +323,20 @@ TEST(CompoundPlannerTest, MultiEqAndRoutesThroughCompoundIndex) {
   ASSERT_TRUE(coll.CreateIndex({"type", "name"}).ok());
   auto pred = Predicate::And({Predicate::Eq("type", DocValue::Str("Movie")),
                               Predicate::Eq("name", DocValue::Str("Matilda"))});
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   EXPECT_EQ(plan.access, AccessPath::kIndexEq);
   ASSERT_NE(plan.index, nullptr);
   EXPECT_EQ(plan.index->field_path(), "type,name");
   // Both children bind index components: the scan is exact.
   EXPECT_FALSE(plan.residual);
   EXPECT_EQ(plan.estimated_rows, 5);
-  std::string explain = ExplainFind(coll, pred);
+  std::string explain = ExplainFind(coll.GetView(), pred);
   EXPECT_NE(explain.find("IXSCAN(type,name)"), std::string::npos) << explain;
 
-  auto ids = Find(coll, pred);
+  auto ids = Find(coll.GetView(), pred);
   FindOptions scan;
   scan.use_indexes = false;
-  auto oracle = Find(coll, pred, scan);
+  auto oracle = Find(coll.GetView(), pred, scan);
   ASSERT_TRUE(ids.ok());
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(*ids, *oracle);
@@ -345,11 +350,11 @@ TEST(CompoundPlannerTest, EqPlusRangeBindsCompoundPrefix) {
       {Predicate::Eq("type", DocValue::Str("Person")),
        Predicate::Range("confidence", DocValue::Double(0.4),
                         DocValue::Double(0.6))});
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   EXPECT_EQ(plan.access, AccessPath::kIndexRange);
   EXPECT_FALSE(plan.residual);
   EXPECT_EQ(plan.estimated_rows, 10);
-  auto ids = Find(coll, pred);
+  auto ids = Find(coll.GetView(), pred);
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids->size(), 10u);
   EXPECT_TRUE(std::is_sorted(ids->begin(), ids->end()));
@@ -359,11 +364,11 @@ TEST(CompoundPlannerTest, BareEqRidesCompoundLeadingComponent) {
   Collection coll = MakeEntities();
   ASSERT_TRUE(coll.CreateIndex({"name", "confidence"}).ok());
   auto pred = Predicate::Eq("name", DocValue::Str("Matilda"));
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   EXPECT_EQ(plan.access, AccessPath::kIndexEq);
   ASSERT_NE(plan.index, nullptr);
   EXPECT_EQ(plan.index->field_path(), "name,confidence");
-  auto ids = Find(coll, pred);
+  auto ids = Find(coll.GetView(), pred);
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids->size(), 5u);
   EXPECT_TRUE(std::is_sorted(ids->begin(), ids->end()));
@@ -377,7 +382,7 @@ TEST(CompoundPlannerTest, CompoundBeatsSingleFieldResidualOnSelectivity) {
   // the compound pins both children at 5 exact rows.
   auto pred = Predicate::And({Predicate::Eq("type", DocValue::Str("Movie")),
                               Predicate::Eq("name", DocValue::Str("Matilda"))});
-  QueryPlan plan = PlanFind(coll, pred);
+  QueryPlan plan = PlanFind(coll.GetView(), pred);
   ASSERT_NE(plan.index, nullptr);
   EXPECT_EQ(plan.index->field_path(), "type,name");
   EXPECT_FALSE(plan.residual);
@@ -395,13 +400,14 @@ std::vector<DocId> OracleOrdered(const Collection& coll,
                                  const PredicatePtr& p,
                                  const std::string& order_by, bool desc,
                                  int64_t limit) {
+  const storage::CollectionView view = coll.GetView();
   std::vector<DocId> ids;
-  coll.ForEach([&](DocId id, const DocValue& doc) {
+  view.ForEach([&](DocId id, const DocValue& doc) {
     if (p == nullptr || p->Matches(doc)) ids.push_back(id);
   });
   if (!order_by.empty()) {
     auto key_of = [&](DocId id) {
-      const DocValue* doc = coll.Get(id);
+      const DocValue* doc = view.Get(id);
       const DocValue* v = doc == nullptr ? nullptr : doc->FindPath(order_by);
       return v == nullptr ? storage::IndexKey()
                           : storage::IndexKey::FromValue(*v);
@@ -429,7 +435,7 @@ TEST(OrderLimitTest, OrderBySortsByKeyThenIdBothDirections) {
     FindOptions opts;
     opts.order_by = "confidence";
     opts.order_desc = desc;
-    auto got = Find(coll, pred, opts);
+    auto got = Find(coll.GetView(), pred, opts);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, OracleOrdered(coll, pred, "confidence", desc, -1))
         << "desc=" << desc;
@@ -452,13 +458,13 @@ TEST(OrderLimitTest, IndexedOrderLimitStreamsOffIndexAndStopsEarly) {
     opts.order_desc = desc;
     opts.limit = 10;
     opts.stats = &stats;
-    std::string explain = ExplainFind(coll, pred, opts);
+    std::string explain = ExplainFind(coll.GetView(), pred, opts);
     EXPECT_NE(explain.find("IXSCAN"), std::string::npos) << explain;
     EXPECT_NE(explain.find("LIMIT(10)"), std::string::npos) << explain;
     EXPECT_EQ(explain.find("SORT"), std::string::npos) << explain;
     EXPECT_EQ(explain.find("TOPK"), std::string::npos) << explain;
 
-    auto got = Find(coll, pred, opts);
+    auto got = Find(coll.GetView(), pred, opts);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, OracleOrdered(coll, pred, "rank", desc, 10));
     // The push-down promise: ~limit index entries examined (one run
@@ -479,11 +485,11 @@ TEST(OrderLimitTest, EqPrefixOrderCoveredByCompoundIndex) {
   opts.order_by = "name";
   opts.limit = 4;
   opts.stats = &stats;
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("IXSCAN(type)"), std::string::npos) << explain;
   EXPECT_EQ(explain.find("SORT"), std::string::npos) << explain;
   EXPECT_EQ(explain.find("TOPK"), std::string::npos) << explain;
-  auto got = Find(coll, pred, opts);
+  auto got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, OracleOrdered(coll, pred, "name", false, 4));
   // The first name run ("Matilda", 5 entries) already covers limit 4:
@@ -498,12 +504,12 @@ TEST(OrderLimitTest, UnindexedOrderLimitFusesIntoTopK) {
   opts.order_by = "name";
   opts.order_desc = true;
   opts.limit = 7;
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("COLLSCAN"), std::string::npos) << explain;
   EXPECT_NE(explain.find("TOPK(name desc, k=7)"), std::string::npos)
       << explain;
   EXPECT_EQ(explain.find("SORT"), std::string::npos) << explain;
-  auto got = Find(coll, pred, opts);
+  auto got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, OracleOrdered(coll, pred, "name", true, 7));
 }
@@ -514,10 +520,10 @@ TEST(OrderLimitTest, UncoveredOrderWithoutLimitSorts) {
   auto pred = Predicate::Eq("name", DocValue::Str("Wicked"));
   FindOptions opts;
   opts.order_by = "confidence";
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("IXSCAN"), std::string::npos) << explain;
   EXPECT_NE(explain.find("SORT(confidence)"), std::string::npos) << explain;
-  auto got = Find(coll, pred, opts);
+  auto got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, OracleOrdered(coll, pred, "confidence", false, -1));
 }
@@ -529,7 +535,7 @@ TEST(OrderLimitTest, SerialCollScanLimitStopsEarly) {
   FindOptions opts;
   opts.limit = 3;
   opts.stats = &stats;
-  auto got = Find(coll, pred, opts);
+  auto got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (std::vector<DocId>{1, 2, 3}));
   // Limit is honored inside execution: the serial scan stopped after
@@ -546,11 +552,12 @@ TEST(CountAggregationTest, IndexOnlyCountMatchesScanCount) {
   ASSERT_TRUE(coll.CreateIndex("name").ok());
   // Unfiltered count over an indexed path never touches a document.
   int64_t scans_before = coll.coll_scans();
-  auto via_index = CountByField(coll, "name", PredicatePtr());
+  const storage::CollectionView view = coll.GetView();
+  auto via_index = CountByField(view, "name", PredicatePtr());
   EXPECT_EQ(coll.coll_scans(), scans_before);
   FindOptions scan;
   scan.use_indexes = false;
-  auto via_scan = CountByField(coll, "name", PredicatePtr(), scan);
+  auto via_scan = CountByField(view, "name", PredicatePtr(), scan);
   ASSERT_EQ(via_index.size(), via_scan.size());
   for (size_t i = 0; i < via_index.size(); ++i) {
     EXPECT_EQ(via_index[i].key, via_scan[i].key);
@@ -564,7 +571,7 @@ TEST(CountAggregationTest, IndexOnlyCountMatchesScanCount) {
 TEST(CountAggregationTest, PredicateRestrictsGroups) {
   Collection coll = MakeEntities();
   ASSERT_TRUE(coll.CreateIndex("type").ok());
-  auto rows = CountByField(coll, "name",
+  auto rows = CountByField(coll.GetView(), "name",
                            Predicate::Eq("type", DocValue::Str("Movie")));
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].key, "Wicked");
@@ -574,9 +581,10 @@ TEST(CountAggregationTest, PredicateRestrictsGroups) {
 
 TEST(CountAggregationTest, BoundedTopKMatchesFullSortPrefix) {
   Collection coll = MakeEntities();
-  auto all = CountByField(coll, "name", PredicatePtr());
+  const storage::CollectionView view = coll.GetView();
+  auto all = CountByField(view, "name", PredicatePtr());
   for (int k : {0, 1, 2, 3, 99}) {
-    auto top = TopKByCount(coll, "name", k, PredicatePtr());
+    auto top = TopKByCount(view, "name", k, PredicatePtr());
     size_t want = std::min<size_t>(all.size(), static_cast<size_t>(k));
     ASSERT_EQ(top.size(), want) << "k=" << k;
     for (size_t i = 0; i < want; ++i) {
@@ -670,12 +678,11 @@ TEST(DataTamerFindTest, SnapshotPreservesPlannerVisibleIndexes) {
   ASSERT_TRUE(before_text.ok());
   ASSERT_GT(tamer.entity_collection()->index_scans(), 0);
 
-  const std::string path = ::testing::TempDir() + "planner_snapshot.bin";
-  ASSERT_TRUE(tamer.SaveSnapshot(path).ok());
+  TempPath snap("planner_snapshot");
+  ASSERT_TRUE(tamer.SaveSnapshot(snap.path()).ok());
   fusion::DataTamer loaded;
   loaded.SetGazetteer(&corpus.gazetteer);
-  ASSERT_TRUE(loaded.LoadSnapshot(path).ok());
-  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.LoadSnapshot(snap.path()).ok());
 
   // Counters are observational, not data: a loaded store starts fresh.
   EXPECT_EQ(loaded.entity_collection()->index_scans(), 0);
@@ -721,7 +728,7 @@ TEST(DataTamerFindTest, FacadeFindPassesOrderAndLimitThrough) {
 /// The ground truth: evaluate the predicate against every document.
 std::vector<DocId> OracleFind(const Collection& coll, const PredicatePtr& p) {
   std::vector<DocId> out;
-  coll.ForEach([&](DocId id, const DocValue& doc) {
+  coll.GetView().ForEach([&](DocId id, const DocValue& doc) {
     if (p->Matches(doc)) out.push_back(id);
   });
   return out;
@@ -733,7 +740,7 @@ std::vector<DocId> OracleFind(const Collection& coll, const PredicatePtr& p) {
 class PredicateGen {
  public:
   PredicateGen(const Collection& coll, Rng* rng) : rng_(rng) {
-    coll.ForEach([&](DocId, const DocValue& doc) {
+    coll.GetView().ForEach([&](DocId, const DocValue& doc) {
       if (samples_.size() < 400) samples_.push_back(doc);
     });
   }
@@ -800,12 +807,12 @@ TEST(PlannerOracleDifferentialTest, RandomTreesMatchOracle) {
       for (int threads : {1, 4}) {
         FindOptions opts;
         opts.num_threads = threads;
-        auto got = Find(coll, pred, opts);
+        auto got = Find(coll.GetView(), pred, opts);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_EQ(*got, expected)
             << "indexes=" << with_indexes << " threads=" << threads
             << " trial=" << trial << "\npred: " << pred->ToString()
-            << "\nplan: " << ExplainFind(coll, pred, opts);
+            << "\nplan: " << ExplainFind(coll.GetView(), pred, opts);
         ++comparisons;
       }
     }
@@ -870,13 +877,13 @@ TEST(PlannerOracleDifferentialTest, RandomOrdersLimitsAndCompoundIndexes) {
         opts.order_by = order_by;
         opts.order_desc = desc;
         opts.limit = limit;
-        auto got = Find(coll, pred, opts);
+        auto got = Find(coll.GetView(), pred, opts);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_EQ(*got, expected)
             << "cfg=" << cfg << " threads=" << threads << " trial=" << trial
             << " order_by=" << order_by << " desc=" << desc
             << " limit=" << limit << "\npred: " << pred->ToString()
-            << "\nplan: " << ExplainFind(coll, pred, opts);
+            << "\nplan: " << ExplainFind(coll.GetView(), pred, opts);
         ++comparisons;
       }
     }
@@ -902,7 +909,7 @@ std::vector<DocId> StitchPages(const Collection& coll, const PredicatePtr& pred,
   for (int pages = 0;; ++pages) {
     EXPECT_LT(pages, 5000) << "pagination failed to terminate";
     if (pages >= 5000) break;
-    auto page = FindPage(coll, pred, opts);
+    auto page = FindPage(coll.GetView(), pred, opts);
     EXPECT_TRUE(page.ok()) << page.status().ToString();
     if (!page.ok()) break;
     EXPECT_LE(static_cast<int64_t>(page->ids.size()), page_size);
@@ -919,19 +926,21 @@ TEST(PaginationTest, PageSizeValidationAndUnpagedBehavior) {
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
   FindOptions opts;
   opts.page_size = 0;
-  EXPECT_TRUE(FindPage(coll, pred, opts).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      FindPage(coll.GetView(), pred, opts).status().IsInvalidArgument());
   opts.page_size = -7;
-  EXPECT_TRUE(FindPage(coll, pred, opts).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      FindPage(coll.GetView(), pred, opts).status().IsInvalidArgument());
   // Unpaged: the whole result, no token.
   opts.page_size = -1;
-  auto all = FindPage(coll, pred, opts);
+  auto all = FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->ids.size(), 30u);
   EXPECT_TRUE(all->next_token.empty());
   // A page covering the whole result mints no token either (the probe
   // found nothing): clients never chase an empty trailing page.
   opts.page_size = 30;
-  auto exact = FindPage(coll, pred, opts);
+  auto exact = FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->ids.size(), 30u);
   EXPECT_TRUE(exact->next_token.empty());
@@ -979,7 +988,7 @@ TEST(PaginationTest, StitchedPagesMatchOneShotOnEveryAccessPath) {
     for (int64_t page_size : {1, 3, 7, 1000}) {
       EXPECT_EQ(StitchPages(coll, c.pred, opts, page_size), expected)
           << c.label << " page_size=" << page_size
-          << "\nplan: " << ExplainFind(coll, c.pred, opts);
+          << "\nplan: " << ExplainFind(coll.GetView(), c.pred, opts);
     }
   }
 }
@@ -992,7 +1001,7 @@ TEST(PaginationTest, LimitSpansPagesAndPageSizeMayChangeMidStream) {
   opts.limit = 10;
   opts.page_size = 3;
   std::vector<DocId> stitched;
-  auto page = FindPage(coll, pred, opts);
+  auto page = FindPage(coll.GetView(), pred, opts);
   for (int pages = 1;; ++pages) {
     ASSERT_TRUE(page.ok());
     stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
@@ -1002,21 +1011,21 @@ TEST(PaginationTest, LimitSpansPagesAndPageSizeMayChangeMidStream) {
       break;
     }
     opts.resume_token = page->next_token;
-    page = FindPage(coll, pred, opts);
+    page = FindPage(coll.GetView(), pred, opts);
   }
   FindOptions one_shot;
   one_shot.limit = 10;
-  EXPECT_EQ(stitched, *Find(coll, pred, one_shot));
+  EXPECT_EQ(stitched, *Find(coll.GetView(), pred, one_shot));
 
   // The fingerprint covers the query, not the page geometry: a client
   // may fetch the next page at a different size.
   opts.resume_token.clear();
   opts.page_size = 4;
-  auto first = FindPage(coll, pred, opts);
+  auto first = FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(first.ok());
   opts.resume_token = first->next_token;
   opts.page_size = 6;
-  auto rest = FindPage(coll, pred, opts);
+  auto rest = FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(rest.ok());
   std::vector<DocId> spliced = first->ids;
   spliced.insert(spliced.end(), rest->ids.begin(), rest->ids.end());
@@ -1044,7 +1053,7 @@ TEST(PaginationTest, ResumeExaminesPageEntriesNotOffset) {
   std::vector<DocId> stitched;
   int resumes = 0;
   for (;;) {
-    auto page = FindPage(coll, pred, opts);
+    auto page = FindPage(coll.GetView(), pred, opts);
     ASSERT_TRUE(page.ok()) << page.status().ToString();
     stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
     // The acceptance bar: every page — page 2 as much as page 39, i.e.
@@ -1068,7 +1077,7 @@ TEST(PaginationTest, TamperedTokensAreRejected) {
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
   FindOptions opts;
   opts.page_size = 5;
-  auto page = FindPage(coll, pred, opts);
+  auto page = FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(page.ok());
   const std::string token = page->next_token;
   ASSERT_FALSE(token.empty());
@@ -1079,19 +1088,23 @@ TEST(PaginationTest, TamperedTokensAreRejected) {
     std::string bent = token;
     bent[i] = static_cast<char>(bent[i] ^ 0x5A);
     opts.resume_token = bent;
-    EXPECT_TRUE(FindPage(coll, pred, opts).status().IsInvalidArgument())
+    EXPECT_TRUE(
+        FindPage(coll.GetView(), pred, opts).status().IsInvalidArgument())
         << "flipped byte " << i << " was accepted";
   }
   // Truncations, suffix growth and garbage too.
   opts.resume_token = token.substr(0, token.size() - 3);
-  EXPECT_TRUE(FindPage(coll, pred, opts).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      FindPage(coll.GetView(), pred, opts).status().IsInvalidArgument());
   opts.resume_token = token + "x";
-  EXPECT_TRUE(FindPage(coll, pred, opts).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      FindPage(coll.GetView(), pred, opts).status().IsInvalidArgument());
   opts.resume_token = "definitely not a token";
-  EXPECT_TRUE(FindPage(coll, pred, opts).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      FindPage(coll.GetView(), pred, opts).status().IsInvalidArgument());
   // The untouched token still works.
   opts.resume_token = token;
-  auto resumed = FindPage(coll, pred, opts);
+  auto resumed = FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->ids.size(), 5u);
 }
@@ -1105,11 +1118,11 @@ TEST(PaginationTest, ResumeAfterMutationServesPinnedVersion) {
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
   auto run = [&](const std::function<void(Collection*)>& mutate) {
     Collection coll = MakeEntities();
-    auto expected = Find(coll, pred, FindOptions{});
+    auto expected = Find(coll.GetView(), pred, FindOptions{});
     ASSERT_TRUE(expected.ok());
     FindOptions opts;
     opts.page_size = 5;
-    auto page = FindPage(coll, pred, opts);
+    auto page = FindPage(coll.GetView(), pred, opts);
     ASSERT_TRUE(page.ok());
     std::vector<DocId> stitched = page->ids;
     std::string token = page->next_token;
@@ -1117,7 +1130,7 @@ TEST(PaginationTest, ResumeAfterMutationServesPinnedVersion) {
     mutate(&coll);
     while (!token.empty()) {
       opts.resume_token = token;
-      auto next = FindPage(coll, pred, opts);
+      auto next = FindPage(coll.GetView(), pred, opts);
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       stitched.insert(stitched.end(), next->ids.begin(), next->ids.end());
       token = next->next_token;
@@ -1154,12 +1167,12 @@ TEST(PaginationTest, ReclaimedVersionTokenRejectedAsStale) {
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
   FindOptions opts;
   opts.page_size = 5;
-  auto page = FindPage(coll, pred, opts);
+  auto page = FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(page.ok());
   ASSERT_FALSE(page->next_token.empty());
   coll.Insert(DocBuilder().Set("type", "Movie").Set("name", "New").Build());
   opts.resume_token = page->next_token;
-  Status st = FindPage(coll, pred, opts).status();
+  Status st = FindPage(coll.GetView(), pred, opts).status();
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_NE(st.ToString().find("stale"), std::string::npos) << st.ToString();
 
@@ -1171,7 +1184,7 @@ TEST(PaginationTest, ReclaimedVersionTokenRejectedAsStale) {
     other.Insert(
         DocBuilder().Set("type", "Movie").Set("rank", int64_t{i}).Build());
   }
-  st = FindPage(other, pred, opts).status();
+  st = FindPage(other.GetView(), pred, opts).status();
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_NE(st.ToString().find("stale"), std::string::npos) << st.ToString();
 }
@@ -1183,31 +1196,34 @@ TEST(PaginationTest, TokenForADifferentQueryIsRejected) {
   FindOptions opts;
   opts.page_size = 5;
   opts.order_by = "name";
-  auto page = FindPage(coll, movie, opts);
+  auto page = FindPage(coll.GetView(), movie, opts);
   ASSERT_TRUE(page.ok());
   ASSERT_FALSE(page->next_token.empty());
   opts.resume_token = page->next_token;
 
   // Different predicate.
   FindOptions other = opts;
-  Status st =
-      FindPage(coll, Predicate::Eq("type", DocValue::Str("Person")), other)
-          .status();
+  Status st = FindPage(coll.GetView(),
+                       Predicate::Eq("type", DocValue::Str("Person")), other)
+                  .status();
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   // Different direction.
   other = opts;
   other.order_desc = true;
-  EXPECT_TRUE(FindPage(coll, movie, other).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      FindPage(coll.GetView(), movie, other).status().IsInvalidArgument());
   // Different order path.
   other = opts;
   other.order_by = "confidence";
-  EXPECT_TRUE(FindPage(coll, movie, other).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      FindPage(coll.GetView(), movie, other).status().IsInvalidArgument());
   // Different limit.
   other = opts;
   other.limit = 3;
-  EXPECT_TRUE(FindPage(coll, movie, other).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      FindPage(coll.GetView(), movie, other).status().IsInvalidArgument());
   // The matching query still resumes.
-  EXPECT_TRUE(FindPage(coll, movie, opts).ok());
+  EXPECT_TRUE(FindPage(coll.GetView(), movie, opts).ok());
 }
 
 TEST(PaginationTest, RandomizedStitchDifferential) {
@@ -1259,7 +1275,7 @@ TEST(PaginationTest, RandomizedStitchDifferential) {
               << " page_size=" << page_size << " threads=" << threads
               << " order_by=" << order_by << " desc=" << desc
               << " limit=" << limit << "\npred: " << pred->ToString()
-              << "\nplan: " << ExplainFind(coll, pred, opts);
+              << "\nplan: " << ExplainFind(coll.GetView(), pred, opts);
           ++comparisons;
         }
       }
@@ -1297,13 +1313,13 @@ TEST(MergeUnionTest, OrderedOrExecutesSortFree) {
     opts.order_desc = desc;
     opts.limit = 10;
     opts.stats = &stats;
-    std::string explain = ExplainFind(coll, pred, opts);
+    std::string explain = ExplainFind(coll.GetView(), pred, opts);
     EXPECT_NE(explain.find("MERGE_UNION"), std::string::npos) << explain;
     EXPECT_NE(explain.find("order=name"), std::string::npos) << explain;
     EXPECT_EQ(explain.find("SORT"), std::string::npos) << explain;
     EXPECT_EQ(explain.find("TOPK"), std::string::npos) << explain;
 
-    auto got = Find(coll, pred, opts);
+    auto got = Find(coll.GetView(), pred, opts);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, OracleOrdered(coll, pred, "name", desc, 10));
     // The push-down promise extends to the merge: ~limit entries
@@ -1318,9 +1334,9 @@ TEST(MergeUnionTest, OrderedOrExecutesSortFree) {
   Collection three = MakeMergeCorpus(true);
   FindOptions unlimited;
   unlimited.order_by = "name";
-  std::string explain = ExplainFind(three, pred, unlimited);
+  std::string explain = ExplainFind(three.GetView(), pred, unlimited);
   EXPECT_NE(explain.find("MERGE_UNION"), std::string::npos) << explain;
-  auto got = Find(three, pred, unlimited);
+  auto got = Find(three.GetView(), pred, unlimited);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, OracleOrdered(three, pred, "name", false, -1));
 }
@@ -1337,9 +1353,9 @@ TEST(MergeUnionTest, OverlappingRangeBranchesDeduplicate) {
   FindOptions opts;
   opts.order_by = "rank";
   opts.limit = 160;
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("MERGE_UNION"), std::string::npos) << explain;
-  auto got = Find(coll, pred, opts);
+  auto got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   std::vector<DocId> expected = OracleOrdered(coll, pred, "rank", false, 160);
   EXPECT_EQ(expected.size(), 150u);  // 0..149 once each, not 200 rows
@@ -1367,7 +1383,7 @@ TEST(MergeUnionTest, EqBoundOrderKeyBranchesResumeBothDirections) {
     FindOptions opts;
     opts.order_by = "rank";
     opts.order_desc = desc;
-    std::string explain = ExplainFind(coll, pred, opts);
+    std::string explain = ExplainFind(coll.GetView(), pred, opts);
     ASSERT_NE(explain.find("MERGE_UNION"), std::string::npos) << explain;
     std::vector<DocId> expected = OracleOrdered(coll, pred, "rank", desc, -1);
     ASSERT_EQ(expected.size(), 20u);
@@ -1392,11 +1408,11 @@ TEST(MergeUnionTest, NonCoveringBranchFallsBackToUnionTopK) {
   FindOptions opts;
   opts.order_by = "confidence";
   opts.limit = 10;
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("UNION"), std::string::npos) << explain;
   EXPECT_EQ(explain.find("MERGE_UNION"), std::string::npos) << explain;
   EXPECT_NE(explain.find("TOPK"), std::string::npos) << explain;
-  auto got = Find(coll, pred, opts);
+  auto got = Find(coll.GetView(), pred, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, OracleOrdered(coll, pred, "confidence", false, 10));
 }
@@ -1412,7 +1428,7 @@ TEST(MergeUnionTest, PaginatedMergeResumesCheaply) {
   opts.stats = &stats;
   std::vector<DocId> stitched;
   for (;;) {
-    auto page = FindPage(coll, pred, opts);
+    auto page = FindPage(coll.GetView(), pred, opts);
     ASSERT_TRUE(page.ok()) << page.status().ToString();
     stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
     // Each resumed page re-reads at most the checkpoint runs plus
@@ -1433,7 +1449,7 @@ TEST(ExplainTest, FilterAndUnionBranchesCarryEstimates) {
   auto tree =
       Predicate::And({Predicate::Eq("type", DocValue::Str("Movie")),
                       Predicate::Eq("name", DocValue::Str("Matilda"))});
-  std::string explain = ExplainFind(coll, tree);
+  std::string explain = ExplainFind(coll.GetView(), tree);
   EXPECT_NE(explain.find("FILTER"), std::string::npos) << explain;
   EXPECT_NE(explain.find("} est=30"), std::string::npos) << explain;
   // Union branches each carry their own estimate.
@@ -1441,7 +1457,7 @@ TEST(ExplainTest, FilterAndUnionBranchesCarryEstimates) {
   auto both =
       Predicate::Or({Predicate::Eq("name", DocValue::Str("Matilda")),
                      Predicate::Eq("name", DocValue::Str("Wicked"))});
-  explain = ExplainFind(coll, both);
+  explain = ExplainFind(coll.GetView(), both);
   EXPECT_NE(explain.find("UNION"), std::string::npos) << explain;
   EXPECT_NE(explain.find("est=5"), std::string::npos) << explain;
   EXPECT_NE(explain.find("est=25"), std::string::npos) << explain;
@@ -1455,11 +1471,11 @@ TEST(PaginationTest, ExplainRendersResumePosition) {
   opts.order_by = "name";
   opts.limit = 25;
   opts.page_size = 10;
-  auto page = FindPage(coll, pred, opts);
+  auto page = FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(page.ok());
   ASSERT_FALSE(page->next_token.empty());
   opts.resume_token = page->next_token;
-  std::string explain = ExplainFind(coll, pred, opts);
+  std::string explain = ExplainFind(coll.GetView(), pred, opts);
   EXPECT_NE(explain.find("MERGE_UNION"), std::string::npos) << explain;
   EXPECT_NE(explain.find("resume=[\"LIM\""), std::string::npos) << explain;
   EXPECT_NE(explain.find("\"MU\""), std::string::npos) << explain;
@@ -1467,14 +1483,14 @@ TEST(PaginationTest, ExplainRendersResumePosition) {
   // resumes against the retained pre-mutation version; and handed to a
   // different collection lineage it renders stale.
   opts.resume_token[3] = static_cast<char>(opts.resume_token[3] ^ 0x11);
-  EXPECT_NE(ExplainFind(coll, pred, opts).find("resume=INVALID"),
+  EXPECT_NE(ExplainFind(coll.GetView(), pred, opts).find("resume=INVALID"),
             std::string::npos);
   opts.resume_token = page->next_token;
   coll.Insert(DocBuilder().Set("type", "A").Set("name", "zzz").Build());
-  EXPECT_NE(ExplainFind(coll, pred, opts).find("resume=RETAINED"),
+  EXPECT_NE(ExplainFind(coll.GetView(), pred, opts).find("resume=RETAINED"),
             std::string::npos);
   Collection other = MakeMergeCorpus(false);
-  EXPECT_NE(ExplainFind(other, pred, opts).find("resume=STALE"),
+  EXPECT_NE(ExplainFind(other.GetView(), pred, opts).find("resume=STALE"),
             std::string::npos);
 }
 

@@ -218,7 +218,7 @@ TEST(PlanWireTest, RenderPlanReproducesToString) {
   optss[2].use_indexes = false;
   for (const auto& pred : preds) {
     for (const auto& opts : optss) {
-      QueryPlan plan = PlanFind(coll, pred, opts);
+      QueryPlan plan = PlanFind(coll.GetView(), pred, opts);
       EXPECT_EQ(plan.ToString(), RenderPlan(plan.ToDocValue()));
     }
   }
@@ -467,8 +467,8 @@ TEST(ExecuteParityTest, FindExplainPageCountAgreeWithLegacy) {
   count_req.group_path = "type";
   auto counted = c.tamer.Execute(count_req);
   ASSERT_TRUE(counted.ok());
-  auto legacy_counts =
-      CountByField(*c.tamer.entity_collection(), "type", PredicatePtr());
+  auto legacy_counts = CountByField(c.tamer.entity_collection()->GetView(),
+                                    "type", PredicatePtr());
   ASSERT_EQ(counted->groups.size(), legacy_counts.size());
   for (size_t i = 0; i < legacy_counts.size(); ++i) {
     EXPECT_EQ(counted->groups[i].key, legacy_counts[i].key);
@@ -480,7 +480,8 @@ TEST(ExecuteParityTest, FindExplainPageCountAgreeWithLegacy) {
   auto topk = c.tamer.Execute(count_req);
   ASSERT_TRUE(topk.ok());
   auto legacy_topk =
-      TopKByCount(*c.tamer.entity_collection(), "type", 3, PredicatePtr());
+      TopKByCount(c.tamer.entity_collection()->GetView(), "type", 3,
+                  PredicatePtr());
   ASSERT_EQ(topk->groups.size(), legacy_topk.size());
   for (size_t i = 0; i < legacy_topk.size(); ++i) {
     EXPECT_EQ(topk->groups[i].key, legacy_topk[i].key);
@@ -507,6 +508,66 @@ TEST(ExecuteParityTest, FindExplainPageCountAgreeWithLegacy) {
   bad.op = QueryOp::kFind;
   bad.collection = "no_such_collection";
   EXPECT_TRUE(c.tamer.Execute(bad).status().IsNotFound());
+}
+
+TEST(ExecuteValidationTest, WideKReturnsEveryGroupAndNegativeKIsRejected) {
+  ExecuteCorpus c;
+  QueryRequest count_req;
+  count_req.op = QueryOp::kCount;
+  count_req.collection = "entity";
+  count_req.group_path = "type";
+  auto all = c.tamer.Execute(count_req);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_GE(all->groups.size(), 2u);
+
+  // k past 32 bits must not wrap: narrowed to int, 2^32 + 1 is 1.
+  QueryRequest top_req = count_req;
+  top_req.op = QueryOp::kTopK;
+  top_req.k = (int64_t{1} << 32) + 1;
+  auto top = c.tamer.Execute(top_req);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_EQ(top->groups.size(), all->groups.size());
+  for (size_t i = 0; i < all->groups.size(); ++i) {
+    EXPECT_EQ(top->groups[i].key, all->groups[i].key);
+    EXPECT_EQ(top->groups[i].count, all->groups[i].count);
+  }
+
+  QueryRequest discussed_req;
+  discussed_req.op = QueryOp::kTopDiscussed;
+  discussed_req.entity_type = "Movie";
+  discussed_req.k = int64_t{1} << 31;  // negative once narrowed to int
+  auto discussed = c.tamer.Execute(discussed_req);
+  ASSERT_TRUE(discussed.ok()) << discussed.status().ToString();
+  EXPECT_FALSE(discussed->groups.empty());
+  EXPECT_EQ(discussed->groups.size(),
+            c.tamer.TopDiscussed("Movie", 1 << 20, false).size());
+
+  top_req.k = -1;
+  EXPECT_TRUE(c.tamer.Execute(top_req).status().IsInvalidArgument());
+  discussed_req.k = -1;
+  EXPECT_TRUE(c.tamer.Execute(discussed_req).status().IsInvalidArgument());
+}
+
+TEST(ExecuteValidationTest, ThreadCountOutsideTheFacadeBudgetIsRejected) {
+  fusion::DataTamer tamer;  // default budget: one thread
+  tamer.entity_collection()->Insert(
+      DocBuilder().Set("type", "Movie").Build());
+  QueryRequest req;
+  req.op = QueryOp::kFind;
+  req.collection = "entity";
+  req.predicate = Predicate::Eq("type", DocValue::Str("Movie"));
+  req.use_indexes = false;  // a COLLSCAN would build a pool this wide
+  for (int64_t threads : {int64_t{64}, int64_t{2}, int64_t{-1}}) {
+    req.num_threads = threads;
+    Status st = tamer.Execute(req).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << threads << ": " << st.ToString();
+  }
+  for (int64_t threads : {int64_t{0}, int64_t{1}}) {
+    req.num_threads = threads;
+    auto found = tamer.Execute(req);
+    ASSERT_TRUE(found.ok()) << threads << ": " << found.status().ToString();
+    EXPECT_EQ(found->ids.size(), 1u);
+  }
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ Collection MakeEntities() {
 
 TEST(CountByFieldTest, GroupsAndSorts) {
   Collection coll = MakeEntities();
-  auto rows = CountByField(coll, "name");
+  auto rows = CountByField(coll.GetView(), "name");
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0].key, "Wicked");
   EXPECT_EQ(rows[0].count, 7);
@@ -37,10 +37,11 @@ TEST(CountByFieldTest, GroupsAndSorts) {
 
 TEST(CountByFieldTest, FilterApplied) {
   Collection coll = MakeEntities();
-  auto rows = CountByField(coll, "name", [](const storage::DocValue& d) {
-    const auto* award = d.Find("award_winning");
-    return award != nullptr && award->string_value() == "true";
-  });
+  auto rows =
+      CountByField(coll.GetView(), "name", [](const storage::DocValue& d) {
+        const auto* award = d.Find("award_winning");
+        return award != nullptr && award->string_value() == "true";
+      });
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].key, "Matilda");
   EXPECT_EQ(rows[1].key, "Goodfellas");
@@ -48,13 +49,13 @@ TEST(CountByFieldTest, FilterApplied) {
 
 TEST(CountByFieldTest, MissingPathSkipped) {
   Collection coll = MakeEntities();
-  auto rows = CountByField(coll, "no_such_field");
+  auto rows = CountByField(coll.GetView(), "no_such_field");
   EXPECT_TRUE(rows.empty());
 }
 
 TEST(TopKTest, LimitsResults) {
   Collection coll = MakeEntities();
-  auto rows = TopKByCount(coll, "name", 2);
+  auto rows = TopKByCount(coll.GetView(), "name", 2);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].key, "Wicked");
 }
@@ -63,7 +64,7 @@ TEST(CountByFieldTest, TieBreakByKey) {
   Collection coll("dt.x");
   coll.Insert(DocBuilder().Set("k", "b").Build());
   coll.Insert(DocBuilder().Set("k", "a").Build());
-  auto rows = CountByField(coll, "k");
+  auto rows = CountByField(coll.GetView(), "k");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].key, "a");
 }

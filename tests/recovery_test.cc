@@ -27,27 +27,10 @@
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
+#include "test_files.h"
 
 namespace dt::storage {
 namespace {
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    path_ = ::testing::TempDir() + "dt_recovery_" + tag + "_" +
-            std::to_string(::getpid());
-    RemoveAll();
-  }
-  ~TempDir() { RemoveAll(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void RemoveAll() {
-    std::string cmd = "rm -rf '" + path_ + "'";
-    (void)!system(cmd.c_str());
-  }
-  std::string path_;
-};
 
 constexpr int kOps = 240;
 constexpr int kCheckpointEvery = 60;
@@ -181,7 +164,7 @@ void CheckPaginationDifferential(const fusion::DataTamer& dt) {
 /// recover, compare against the oracle.
 void RunTrial(int64_t crash_budget, const std::string& tag) {
   SCOPED_TRACE("crash_budget=" + std::to_string(crash_budget));
-  TempDir dir(tag);
+  TempPath dir(tag);
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) RunChild(dir.path(), crash_budget);

@@ -247,7 +247,7 @@ TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
     }
     query::InvertedIndex text_idx("text");
     const bool with_text = rng.Bernoulli(0.7);
-    if (with_text) text_idx.Build(coll);
+    if (with_text) text_idx.Build(coll.GetView());
 
     for (int trial = 0; trial < 25; ++trial) {
       query::PredicatePtr pred = planner_fuzz::RandomPredicate(&rng, 3);
@@ -260,13 +260,14 @@ TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
       }
       const int64_t limit =
           rng.Bernoulli(0.5) ? -1 : static_cast<int64_t>(rng.Uniform(30));
+      const storage::CollectionView view = coll.GetView();
       std::vector<storage::DocId> expected;
-      coll.ForEach([&](storage::DocId id, const DocValue& doc) {
+      view.ForEach([&](storage::DocId id, const DocValue& doc) {
         if (pred->Matches(doc)) expected.push_back(id);
       });
       if (!order_by.empty()) {
         auto key_of = [&](storage::DocId id) {
-          const DocValue* v = coll.Get(id)->FindPath(order_by);
+          const DocValue* v = view.Get(id)->FindPath(order_by);
           return v == nullptr ? storage::IndexKey()
                               : storage::IndexKey::FromValue(*v);
         };
@@ -288,14 +289,14 @@ TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
         opts.order_desc = desc;
         opts.limit = limit;
         if (with_text) opts.text_index = &text_idx;
-        auto got = query::Find(coll, pred, opts);
+        auto got = query::Find(view, pred, opts);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_EQ(*got, expected)
             << "seed=" << GetParam() << " round=" << round
             << " trial=" << trial << " threads=" << threads
             << " order_by=" << order_by << " desc=" << desc
             << " limit=" << limit << "\npred: " << pred->ToString()
-            << "\nplan: " << query::ExplainFind(coll, pred, opts);
+            << "\nplan: " << query::ExplainFind(view, pred, opts);
 
         // Resume fuzzing: stitch the same query through pages at a
         // random size, chaining continuation tokens across every
@@ -307,7 +308,7 @@ TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
         std::vector<storage::DocId> stitched;
         for (int pages = 0;; ++pages) {
           ASSERT_LT(pages, 400) << "pagination failed to terminate";
-          auto page = query::FindPage(coll, pred, paged);
+          auto page = query::FindPage(view, pred, paged);
           ASSERT_TRUE(page.ok()) << page.status().ToString();
           stitched.insert(stitched.end(), page->ids.begin(),
                           page->ids.end());
@@ -320,7 +321,7 @@ TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
             << " page_size=" << paged.page_size
             << " order_by=" << order_by << " desc=" << desc
             << " limit=" << limit << "\npred: " << pred->ToString()
-            << "\nplan: " << query::ExplainFind(coll, pred, opts);
+            << "\nplan: " << query::ExplainFind(view, pred, opts);
       }
     }
   }

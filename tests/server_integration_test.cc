@@ -31,6 +31,7 @@
 #include "server/client.h"
 #include "server/frame.h"
 #include "storage/docvalue.h"
+#include "test_files.h"
 
 namespace dt::server {
 namespace {
@@ -190,6 +191,30 @@ TEST(ServerIntegrationTest, TamperedStaleAndDriftedTokensRejected) {
   std::vector<storage::DocId> stitched;
   ASSERT_TRUE(WalkPages(srv2.port(), PageRequest("Movie", 5), &stitched).ok());
   srv2.Stop();
+  srv.Stop();
+}
+
+TEST(ServerIntegrationTest, OverBudgetThreadCountAnsweredWithStatus) {
+  fusion::DataTamer tamer;  // default budget: one thread
+  tamer.entity_collection()->Insert(
+      storage::DocBuilder().Set("type", "Movie").Build());
+  DtServer srv(&tamer);
+  ASSERT_TRUE(srv.Start().ok());
+  auto cli = DtClient::Connect("127.0.0.1", srv.port());
+  ASSERT_TRUE(cli.ok());
+  QueryRequest req;
+  req.op = QueryOp::kFind;
+  req.collection = "entity";
+  req.predicate = Predicate::Eq("type", DocValue::Str("Movie"));
+  req.use_indexes = false;
+  req.num_threads = 64;
+  auto r = (*cli)->Call(req);
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  // The session survives; a request within budget is served.
+  req.num_threads = 1;
+  r = (*cli)->Call(req);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->ids.size(), 1u);
   srv.Stop();
 }
 
@@ -494,11 +519,9 @@ TEST(ServerIntegrationTest, AbortedClientMidFlushClosedAndCounted) {
 }
 
 TEST(ServerIntegrationTest, DurableFacadeStatsAndShutdownFlush) {
-  const std::string dir = ::testing::TempDir() + "dt_srv_durable_" +
-                          std::to_string(::getpid());
-  (void)!system(("rm -rf '" + dir + "'").c_str());
+  TempPath dir("srv_durable");
   fusion::DataTamerOptions opts;
-  opts.durability.dir = dir;
+  opts.durability.dir = dir.path();
   // kAsync acknowledges before fsync — the Stop() flush is what makes
   // the served writes durable, which is exactly what this test pins.
   opts.durability.durability = storage::Durability::kAsync;
@@ -532,7 +555,6 @@ TEST(ServerIntegrationTest, DurableFacadeStatsAndShutdownFlush) {
   auto found = (*dt2)->Find("entity", Predicate::And({}));
   ASSERT_TRUE(found.ok()) << found.status().ToString();
   EXPECT_GT(found->size(), 0u);
-  (void)!system(("rm -rf '" + dir + "'").c_str());
 }
 
 }  // namespace

@@ -7,11 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
-#include <iterator>
+#include <cstring>
 #include <string>
 
 #include "common/rng.h"
@@ -21,23 +17,10 @@
 #include "storage/codec.h"
 #include "storage/collection.h"
 #include "storage/document_store.h"
+#include "test_files.h"
 
 namespace dt::storage {
 namespace {
-
-/// Unique temp path per test; removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& tag) {
-    path_ = testing::TempDir() + "dt_snapshot_" + tag + "_" +
-            std::to_string(::getpid()) + ".bin";
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 DocValue RandomDoc(Rng* rng, int64_t i) {
   DocBuilder b;
@@ -69,8 +52,9 @@ void FillCollection(Collection* coll, int64_t n, uint64_t seed) {
 
 void ExpectSameDocs(const Collection& a, const Collection& b) {
   ASSERT_EQ(a.count(), b.count());
-  a.ForEach([&b](DocId id, const DocValue& doc) {
-    const DocValue* other = b.Get(id);
+  const CollectionView bv = b.GetView();
+  a.GetView().ForEach([&bv](DocId id, const DocValue& doc) {
+    const DocValue* other = bv.Get(id);
     ASSERT_NE(other, nullptr) << "id " << id;
     EXPECT_TRUE(doc.Equals(*other)) << "id " << id;
   });
@@ -89,7 +73,7 @@ TEST(CollectionSnapshotTest, RoundTripsDocsOptionsIndexesAndNextId) {
   ASSERT_TRUE(coll.Remove(499).ok());
   ASSERT_TRUE(coll.Remove(500).ok());
 
-  TempFile f("coll");
+  TempPath f("coll");
   ASSERT_TRUE(coll.Save(f.path()).ok());
   auto loaded = Collection::Open(f.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -99,13 +83,15 @@ TEST(CollectionSnapshotTest, RoundTripsDocsOptionsIndexesAndNextId) {
   EXPECT_EQ((*loaded)->options().initial_extent_size_bytes, 1 << 12);
   EXPECT_EQ((*loaded)->options().max_extent_size_bytes, 1 << 18);
   EXPECT_EQ((*loaded)->next_id(), coll.next_id());
-  EXPECT_TRUE((*loaded)->HasIndex("name"));
-  EXPECT_TRUE((*loaded)->HasIndex("nested.a"));
+  const CollectionView view = (*loaded)->GetView();
+  ASSERT_TRUE(view.HasIndex("name"));
+  EXPECT_TRUE(view.HasIndex("nested.a"));
   ExpectSameDocs(coll, **loaded);
 
   // Index-backed lookups behave identically.
   const DocValue key = DocValue::Str("entity-42");
-  EXPECT_EQ(coll.FindEqual("name", key), (*loaded)->FindEqual("name", key));
+  EXPECT_EQ(coll.GetView().IndexOn("name")->Lookup(key),
+            view.IndexOn("name")->Lookup(key));
   // And inserts keep working with fresh ids.
   DocId id = (*loaded)->Insert(DocBuilder().Set("seq", -1).Build());
   EXPECT_EQ(id, coll.next_id());
@@ -116,21 +102,15 @@ TEST(CollectionSnapshotTest, SaveLoadSaveIsByteIdentical) {
   FillCollection(&coll, 300, 11);
   ASSERT_TRUE(coll.CreateIndex("name").ok());
 
-  TempFile f1("first"), f2("second");
+  TempPath f1("first"), f2("second");
   ASSERT_TRUE(coll.Save(f1.path()).ok());
   auto loaded = Collection::Open(f1.path());
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE((*loaded)->Save(f2.path()).ok());
 
-  std::string a, b;
-  {
-    std::ifstream ia(f1.path(), std::ios::binary), ib(f2.path(),
-                                                      std::ios::binary);
-    a.assign(std::istreambuf_iterator<char>(ia), {});
-    b.assign(std::istreambuf_iterator<char>(ib), {});
-  }
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+  const std::string first = Slurp(f1.path());
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, Slurp(f2.path()));
 }
 
 TEST(CollectionSnapshotTest, EpochLineageRoundTripsAndOldTokensRejectAfterLoad) {
@@ -147,11 +127,11 @@ TEST(CollectionSnapshotTest, EpochLineageRoundTripsAndOldTokensRejectAfterLoad) 
   auto pred = query::Predicate::Eq("type", DocValue::Str("Movie"));
   query::FindOptions opts;
   opts.page_size = 10;
-  auto page = query::FindPage(coll, pred, opts);
+  auto page = query::FindPage(coll.GetView(), pred, opts);
   ASSERT_TRUE(page.ok()) << page.status().ToString();
   ASSERT_FALSE(page->next_token.empty());
 
-  TempFile f("lineage");
+  TempPath f("lineage");
   ASSERT_TRUE(coll.Save(f.path()).ok());
   auto loaded = Collection::Open(f.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -166,13 +146,13 @@ TEST(CollectionSnapshotTest, EpochLineageRoundTripsAndOldTokensRejectAfterLoad) 
   // (its version is current there)...
   query::FindOptions resume = opts;
   resume.resume_token = page->next_token;
-  auto live = query::FindPage(coll, pred, resume);
+  auto live = query::FindPage(coll.GetView(), pred, resume);
   EXPECT_TRUE(live.ok()) << live.status().ToString();
 
   // ...but is rejected as stale by the loaded copy: the random version
   // id is never persisted, so a restart can never false-accept a token
   // minted against a pre-save (or pre-crash) version of the data.
-  auto stale = query::FindPage(**loaded, pred, resume);
+  auto stale = query::FindPage((*loaded)->GetView(), pred, resume);
   ASSERT_FALSE(stale.ok());
   EXPECT_TRUE(stale.status().IsInvalidArgument()) << stale.status().ToString();
   EXPECT_NE(stale.status().ToString().find("stale"), std::string::npos)
@@ -186,106 +166,58 @@ TEST(CollectionSnapshotTest, CompoundIndexSurvivesSaveLoadSaveByteIdentically) {
   ASSERT_TRUE(coll.CreateIndex({"name", "score"}).ok());
   ASSERT_TRUE(coll.CreateIndex({"flag", "nested.a", "seq"}).ok());
 
-  TempFile f1("compound1"), f2("compound2");
+  TempPath f1("compound1"), f2("compound2");
   ASSERT_TRUE(coll.Save(f1.path()).ok());
   auto loaded = Collection::Open(f1.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  EXPECT_EQ((*loaded)->IndexSpecs(), coll.IndexSpecs());
-  EXPECT_TRUE((*loaded)->HasIndex("name,score"));
-  EXPECT_TRUE((*loaded)->HasIndex("flag,nested.a,seq"));
-  const SecondaryIndex* idx = (*loaded)->IndexOn("name,score");
+  const CollectionView view = (*loaded)->GetView();
+  const CollectionView want = coll.GetView();
+  EXPECT_EQ(view.IndexSpecs(), want.IndexSpecs());
+  EXPECT_TRUE(view.HasIndex("flag,nested.a,seq"));
+  const SecondaryIndex* idx = view.IndexOn("name,score");
   ASSERT_NE(idx, nullptr);
   EXPECT_EQ(idx->width(), 2);
   EXPECT_EQ(idx->entry_count(), coll.count());
   const DocValue key = DocValue::Str("entity-42");
-  EXPECT_EQ(idx->Lookup(key), coll.IndexOn("name,score")->Lookup(key));
+  EXPECT_EQ(idx->Lookup(key), want.IndexOn("name,score")->Lookup(key));
 
   ASSERT_TRUE((*loaded)->Save(f2.path()).ok());
-  std::string a, b;
-  {
-    std::ifstream ia(f1.path(), std::ios::binary), ib(f2.path(),
-                                                      std::ios::binary);
-    a.assign(std::istreambuf_iterator<char>(ia), {});
-    b.assign(std::istreambuf_iterator<char>(ib), {});
-  }
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+  const std::string first = Slurp(f1.path());
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, Slurp(f2.path()));
 }
 
-TEST(CollectionSnapshotTest, PreCompoundFormatSnapshotLoadsUnchanged) {
-  // Hand-encode the pre-compound collection snapshot layout — index
-  // metadata as plain field-path strings — independently of the
-  // current writer, so this keeps pinning backward compatibility even
-  // if the writer evolves further.
-  Collection want("dt.legacy", {});
-  want.Insert(DocBuilder().Set("type", "Movie").Set("name", "Matilda").Build());
-  want.Insert(DocBuilder().Set("type", "Movie").Set("name", "Wicked").Build());
-  want.Insert(DocBuilder().Set("type", "Person").Set("name", "Smith").Build());
-
-  std::string payload;
-  int64_t ndocs = 0;
-  BinaryWriter pw(&payload);
-  want.ForEach([&](DocId id, const DocValue& doc) {
-    pw.PutU64(id);
-    ASSERT_TRUE(EncodeDocValue(doc, &payload).ok());
-    ++ndocs;
-  });
-
-  std::string buf;
-  BinaryWriter w(&buf);
-  // Codec v1 header, hand-written: the layout this test pins predates
-  // the v2 epoch-lineage fields (AppendCodecHeader now writes v2).
-  w.PutU32(kCodecMagic);
-  w.PutU16(1);
-  w.PutU16(0);  // flags
-  w.PutU8(2);  // collection snapshot kind
-  w.PutString("dt.legacy");
-  w.PutU32(8);                                  // num_shards (default)
-  w.PutU64(1ull << 16);                         // initial extent
-  w.PutU64(2ull * 1024 * 1024 * 1024);          // max extent
-  w.PutU64(want.next_id());
-  w.PutU32(1);
-  w.PutString("type");  // pre-compound record: the raw path
-  w.PutU64(static_cast<uint64_t>(ndocs));
-  w.PutU32(1);  // one chunk
-  w.PutU32(static_cast<uint32_t>(ndocs));
-  w.PutU64(payload.size());
-  buf += payload;
-
-  TempFile f("legacy");
-  {
-    std::ofstream out(f.path(), std::ios::binary);
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
-  auto loaded = Collection::Open(f.path());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameDocs(want, **loaded);
-  EXPECT_TRUE((*loaded)->HasIndex("type"));
-  EXPECT_EQ((*loaded)->FindEqual("type", DocValue::Str("Movie")).size(), 2u);
-}
-
-TEST(CollectionSnapshotTest, UnknownIndexRecordVersionIsCorruption) {
+TEST(CollectionSnapshotTest, OlderVersionsAndImplausibleIndexSpecsCorrupt) {
   Collection coll("dt.bad", {});
   coll.Insert(DocBuilder().Set("a", 1).Build());
   ASSERT_TRUE(coll.CreateIndex({"a", "seq"}).ok());
-  TempFile f("badrecord");
+  TempPath f("badfile");
   ASSERT_TRUE(coll.Save(f.path()).ok());
-  std::string buf;
-  {
-    std::ifstream in(f.path(), std::ios::binary);
-    buf.assign(std::istreambuf_iterator<char>(in), {});
+  const std::string saved = Slurp(f.path());
+  // Loads the saved file with `n` bytes at `at` overwritten by `patch`.
+  auto load_patched = [&](size_t at, const void* patch, size_t n) {
+    std::string buf = saved;
+    std::memcpy(&buf[at], patch, n);
+    Spit(f.path(), buf);
+    return Collection::Open(f.path()).status();
+  };
+  for (uint16_t version = 1; version < kCodecVersion; ++version) {
+    Status st = load_patched(4, &version, sizeof version);  // after the magic
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.ToString().find("codec version " + std::to_string(version)),
+              std::string::npos)
+        << st.ToString();
   }
-  // The compound record starts 0x01 'C' 0x01; corrupt the version.
-  size_t at = buf.find("\x01" "C" "\x01");
-  ASSERT_NE(at, std::string::npos);
-  buf[at + 2] = '\x07';
-  {
-    std::ofstream out(f.path(), std::ios::binary | std::ios::trunc);
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  // The spec is u32 component count 2, then the two path strings; a
+  // count of 0 or past the remaining bytes is corrupt.
+  const size_t spec =
+      saved.find(std::string("\x02\0\0\0\x01\0\0\0a\x03\0\0\0seq", 16));
+  ASSERT_NE(spec, std::string::npos);
+  for (uint32_t count : {0u, 0xfffffff0u}) {
+    Status st = load_patched(spec, &count, sizeof count);
+    EXPECT_TRUE(st.IsCorruption()) << count << ": " << st.ToString();
   }
-  auto loaded = Collection::Open(f.path());
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
 
 TEST(StoreSnapshotTest, TenThousandDocStoreRoundTripsByteIdentically) {
@@ -312,7 +244,7 @@ TEST(StoreSnapshotTest, TenThousandDocStoreRoundTripsByteIdentically) {
   ExpectSameDocs(*instance, **li);
   auto le = (*loaded)->GetCollection("entity");
   ASSERT_TRUE(le.ok());
-  EXPECT_TRUE((*le)->HasIndex("name"));
+  EXPECT_TRUE((*le)->GetView().HasIndex("name"));
   ExpectSameDocs(*entity, **le);
 }
 
@@ -363,7 +295,7 @@ TEST(StoreSnapshotTest, MissingFileIsIOErrorAndCorruptFileIsCorruption) {
   }
   // A collection snapshot is not a store snapshot.
   Collection coll("dt.x", {});
-  TempFile f("kind");
+  TempPath f("kind");
   ASSERT_TRUE(coll.Save(f.path()).ok());
   auto wrong_kind = LoadSnapshot(f.path());
   EXPECT_TRUE(wrong_kind.status().IsCorruption());
@@ -412,7 +344,7 @@ TEST(DataTamerSnapshotTest, QueriesServeUnchangedFromLoadedStore) {
   auto before_top = tamer.TopDiscussed("Movie", 5, false);
   auto before_hits = tamer.SearchFragments("opening night", 5);
 
-  TempFile f("facade");
+  TempPath f("facade");
   ASSERT_TRUE(tamer.SaveSnapshot(f.path()).ok());
 
   fusion::DataTamer fresh;
@@ -421,7 +353,7 @@ TEST(DataTamerSnapshotTest, QueriesServeUnchangedFromLoadedStore) {
 
   EXPECT_EQ(fresh.stats().fragments_ingested, tamer.stats().fragments_ingested);
   EXPECT_EQ(fresh.stats().entities_extracted, tamer.stats().entities_extracted);
-  EXPECT_TRUE(fresh.entity_collection()->HasIndex("name"));
+  EXPECT_TRUE(fresh.entity_collection()->GetView().HasIndex("name"));
 
   auto after_top = fresh.TopDiscussed("Movie", 5, false);
   ASSERT_EQ(before_top.size(), after_top.size());
@@ -437,11 +369,8 @@ TEST(DataTamerSnapshotTest, QueriesServeUnchangedFromLoadedStore) {
   }
 
   // Loading a garbage file leaves the loaded facade untouched.
-  TempFile garbage("garbage");
-  {
-    std::ofstream out(garbage.path(), std::ios::binary);
-    out << "not a snapshot";
-  }
+  TempPath garbage("garbage");
+  Spit(garbage.path(), "not a snapshot");
   EXPECT_FALSE(fresh.LoadSnapshot(garbage.path()).ok());
   EXPECT_EQ(fresh.stats().fragments_ingested,
             tamer.stats().fragments_ingested);

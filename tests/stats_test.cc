@@ -4,17 +4,12 @@
 /// buckets, numeric range interpolation), the per-index IndexStats
 /// bundle (incremental vs rebuild determinism, codec round trips,
 /// scan estimation), SecondaryIndex::EstimateScan's bounded walk, and
-/// snapshot persistence of stats including the pre-v3 legacy layout.
+/// snapshot persistence of stats.
 
 #include "storage/stats.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -22,6 +17,7 @@
 #include "storage/collection.h"
 #include "storage/index.h"
 #include "storage/snapshot.h"
+#include "test_files.h"
 
 namespace dt::storage {
 namespace {
@@ -45,25 +41,6 @@ CompositeKey Key1(const IndexKey& a) {
 }
 CompositeKey Key2(const IndexKey& a, const IndexKey& b) {
   return CompositeKey(std::vector<IndexKey>{a, b});
-}
-
-/// Unique temp path per test; removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& tag) {
-    path_ = testing::TempDir() + "dt_stats_" + tag + "_" +
-            std::to_string(::getpid()) + ".bin";
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 // ---------------------------------------------------------------------------
@@ -323,15 +300,17 @@ TEST(StatsSnapshotTest, StatsSurviveRoundTripByteIdentically) {
   // snapshot carries a mid-cycle state, not a freshly built one.
   for (DocId id = 1; id <= 10; ++id) ASSERT_TRUE(coll.Remove(id).ok());
 
-  TempFile f1("rt1"), f2("rt2");
+  TempPath f1("rt1"), f2("rt2");
   ASSERT_TRUE(coll.Save(f1.path()).ok());
   auto loaded = Collection::Open(f1.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // The loaded indexes carry the writer's stats verbatim — not the
   // stats an id-order reinsertion would have built.
-  std::vector<const SecondaryIndex*> orig = coll.Indexes();
-  std::vector<const SecondaryIndex*> got = (*loaded)->Indexes();
+  const CollectionView orig_view = coll.GetView();
+  const CollectionView got_view = (*loaded)->GetView();
+  std::vector<const SecondaryIndex*> orig = orig_view.Indexes();
+  std::vector<const SecondaryIndex*> got = got_view.Indexes();
   ASSERT_EQ(orig.size(), got.size());
   for (size_t i = 0; i < orig.size(); ++i) {
     EXPECT_TRUE(orig[i]->stats() == got[i]->stats())
@@ -340,72 +319,6 @@ TEST(StatsSnapshotTest, StatsSurviveRoundTripByteIdentically) {
 
   ASSERT_TRUE((*loaded)->Save(f2.path()).ok());
   EXPECT_EQ(Slurp(f1.path()), Slurp(f2.path()));
-}
-
-TEST(StatsSnapshotTest, LegacyV2SnapshotRebuildsStats) {
-  // Hand-built pre-statistics (v2) collection snapshot: header with
-  // version 2, no per-index stats section. Loading must rebuild stats
-  // from the restored documents instead of failing.
-  const int64_t n = 10;
-  std::string payload;
-  BinaryWriter pw(&payload);
-  for (int64_t i = 0; i < n; ++i) {
-    pw.PutU64(static_cast<uint64_t>(i + 1));
-    ASSERT_TRUE(EncodeDocValue(
-                    DocBuilder().Set("bucket", "b").Set("seq", i).Build(),
-                    &payload)
-                    .ok());
-  }
-
-  std::string buf;
-  BinaryWriter w(&buf);
-  w.PutU32(kCodecMagic);
-  w.PutU16(2);  // the last pre-statistics codec version
-  w.PutU16(0);  // flags
-  w.PutU8(2);   // collection snapshot kind
-  w.PutString("dt.legacy");
-  w.PutU32(1);          // num_shards
-  w.PutU64(1 << 16);    // initial extent
-  w.PutU64(1 << 20);    // max extent
-  w.PutU64(n + 1);      // next_id
-  w.PutU64(7);          // incarnation
-  w.PutU64(42);         // mutation epoch
-  w.PutU32(1);          // one index
-  w.PutString("bucket");
-  w.PutU64(static_cast<uint64_t>(n));  // doc count
-  w.PutU32(1);                         // one chunk
-  w.PutU32(static_cast<uint32_t>(n));
-  w.PutU64(payload.size());
-  buf += payload;
-
-  TempFile f("legacy");
-  {
-    std::ofstream out(f.path(), std::ios::binary);
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
-  auto loaded = Collection::Open(f.path());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->count(), n);
-  EXPECT_EQ((*loaded)->mutation_epoch(), 42u);
-  EXPECT_EQ((*loaded)->incarnation(), 7u);
-  ASSERT_TRUE((*loaded)->HasIndex("bucket"));
-
-  CollectionView view = (*loaded)->GetView();
-  const SecondaryIndex* idx = view.IndexOn("bucket");
-  ASSERT_NE(idx, nullptr);
-  EXPECT_EQ(idx->stats().total_rows(), n);
-  SecondaryIndex::ScanEstimate se =
-      idx->EstimateScan({DocValue::Str("b")}, nullptr, nullptr);
-  EXPECT_TRUE(se.exact);
-  EXPECT_DOUBLE_EQ(se.rows, static_cast<double>(n));
-
-  // Re-saving writes the current (v3) layout, which round-trips.
-  TempFile f2("legacy2"), f3("legacy3");
-  ASSERT_TRUE((*loaded)->Save(f2.path()).ok());
-  auto reloaded = Collection::Open(f2.path());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  ASSERT_TRUE((*reloaded)->Save(f3.path()).ok());
-  EXPECT_EQ(Slurp(f2.path()), Slurp(f3.path()));
 }
 
 }  // namespace

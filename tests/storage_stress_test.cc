@@ -48,7 +48,8 @@ TEST_P(StorageStressTest, ModelConformance) {
     if (r < 0.6 || live.empty()) {
       DocValue doc = RandomDoc(&rng);
       DocId id = coll.Insert(doc);
-      const DocValue* stored = coll.Get(id);
+      const CollectionView view = coll.GetView();
+      const DocValue* stored = view.Get(id);
       ASSERT_NE(stored, nullptr);
       model[id] = *stored;  // includes the injected _id
       live.push_back(id);
@@ -57,7 +58,7 @@ TEST_P(StorageStressTest, ModelConformance) {
       DocId id = live[pick];
       DocValue doc = RandomDoc(&rng);
       ASSERT_TRUE(coll.Update(id, doc).ok());
-      model[id] = *coll.Get(id);
+      model[id] = *coll.GetView().Get(id);
     } else {
       size_t pick = rng.Uniform(live.size());
       DocId id = live[pick];
@@ -70,9 +71,10 @@ TEST_P(StorageStressTest, ModelConformance) {
     // Periodic invariant checks (every 250 ops to keep runtime sane).
     if (op % 250 != 0) continue;
     ASSERT_EQ(coll.count(), static_cast<int64_t>(model.size()));
+    const CollectionView view = coll.GetView();
     // Index lookups agree with a model scan for every type value.
     for (const char* type : {"Movie", "Person", "Company", "City"}) {
-      auto ids = coll.FindEqual("type", DocValue::Str(type));
+      auto ids = view.IndexOn("type")->Lookup(DocValue::Str(type));
       int64_t expected = 0;
       for (const auto& [id, doc] : model) {
         const DocValue* t = doc.Find("type");
@@ -83,8 +85,8 @@ TEST_P(StorageStressTest, ModelConformance) {
       ASSERT_EQ(static_cast<int64_t>(ids.size()), expected) << type;
     }
     // Range query over score agrees with the model.
-    auto in_range =
-        coll.FindRange("score", DocValue::Double(25), DocValue::Double(75));
+    auto in_range = view.IndexOn("score")->Range(DocValue::Double(25),
+                                                 DocValue::Double(75));
     int64_t expected_range = 0;
     for (const auto& [id, doc] : model) {
       const DocValue* s = doc.Find("score");
@@ -107,7 +109,7 @@ TEST_P(StorageStressTest, ModelConformance) {
 
   // Final full-content verification.
   int64_t visited = 0;
-  coll.ForEach([&](DocId id, const DocValue& doc) {
+  coll.GetView().ForEach([&](DocId id, const DocValue& doc) {
     auto it = model.find(id);
     ASSERT_NE(it, model.end());
     ASSERT_TRUE(doc.Equals(it->second));

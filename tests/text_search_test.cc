@@ -29,7 +29,7 @@ Collection MakeFragments() {
 TEST(InvertedIndexTest, BuildCountsDocuments) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  EXPECT_EQ(idx.Build(coll), 5);
+  EXPECT_EQ(idx.Build(coll.GetView()), 5);
   EXPECT_EQ(idx.num_documents(), 5);
   EXPECT_GT(idx.num_terms(), 20);
 }
@@ -37,7 +37,7 @@ TEST(InvertedIndexTest, BuildCountsDocuments) {
 TEST(InvertedIndexTest, PostingsCaseInsensitive) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  idx.Build(coll);
+  idx.Build(coll.GetView());
   EXPECT_EQ(idx.Postings("matilda").size(), 3u);
   EXPECT_EQ(idx.Postings("MATILDA").size(), 3u);
   EXPECT_TRUE(idx.Postings("nonexistent").empty());
@@ -46,7 +46,7 @@ TEST(InvertedIndexTest, PostingsCaseInsensitive) {
 TEST(InvertedIndexTest, ConjunctiveSearch) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  idx.Build(coll);
+  idx.Build(coll.GetView());
   auto hits = idx.Search("matilda wicked");
   ASSERT_EQ(hits.size(), 1u);  // only the tracking fragment has both
   auto single = idx.Search("matilda");
@@ -56,7 +56,7 @@ TEST(InvertedIndexTest, ConjunctiveSearch) {
 TEST(InvertedIndexTest, MissingTermMeansNoHits) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  idx.Build(coll);
+  idx.Build(coll.GetView());
   EXPECT_TRUE(idx.Search("matilda zebra").empty());
   EXPECT_TRUE(idx.Search("").empty());
 }
@@ -105,13 +105,13 @@ TEST(InvertedIndexTest, SkipsDocsWithoutField) {
   coll.Insert(DocBuilder().Set("other", "no text field").Build());
   coll.Insert(DocBuilder().Set("text", 42).Build());  // non-string
   InvertedIndex idx("text");
-  EXPECT_EQ(idx.Build(coll), 1);
+  EXPECT_EQ(idx.Build(coll.GetView()), 1);
 }
 
 TEST(InvertedIndexTest, AddAfterBuildKeepsDocFrequencyConsistent) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  idx.Build(coll);
+  idx.Build(coll.GetView());
   const int64_t df_before = idx.DocFrequency("matilda");
   ASSERT_EQ(df_before, 3);
   const int64_t docs_before = idx.num_documents();
@@ -145,7 +145,7 @@ TEST(InvertedIndexTest, AddAfterBuildKeepsDocFrequencyConsistent) {
 TEST(InvertedIndexTest, EmptyQueryReturnsNothing) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  idx.Build(coll);
+  idx.Build(coll.GetView());
   EXPECT_TRUE(idx.Search("").empty());
   EXPECT_TRUE(idx.Search("   ,;!  ").empty());  // tokenizes to nothing
   // An empty index answers any query with nothing (no division by the
@@ -159,7 +159,7 @@ TEST(InvertedIndexTest, EmptyQueryReturnsNothing) {
 TEST(InvertedIndexTest, OnlyUnknownTokensReturnsNothing) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  idx.Build(coll);
+  idx.Build(coll.GetView());
   EXPECT_TRUE(idx.Search("zebra").empty());
   EXPECT_TRUE(idx.Search("zebra quagga okapi").empty());
   EXPECT_EQ(idx.DocFrequency("zebra"), 0);
@@ -169,7 +169,7 @@ TEST(InvertedIndexTest, OnlyUnknownTokensReturnsNothing) {
 TEST(InvertedIndexTest, KLargerThanHitCountReturnsAllHits) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  idx.Build(coll);
+  idx.Build(coll.GetView());
   auto hits = idx.Search("matilda", 1000);
   EXPECT_EQ(hits.size(), 3u);  // every hit, no padding, no crash
   EXPECT_EQ(idx.Search("matilda", 3).size(), 3u);
@@ -179,7 +179,7 @@ TEST(InvertedIndexTest, KLargerThanHitCountReturnsAllHits) {
 TEST(InvertedIndexTest, DuplicateQueryTermsCollapse) {
   Collection coll = MakeFragments();
   InvertedIndex idx("text");
-  idx.Build(coll);
+  idx.Build(coll.GetView());
   auto once = idx.Search("matilda");
   auto twice = idx.Search("matilda matilda");
   ASSERT_EQ(once.size(), twice.size());

@@ -13,39 +13,22 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fusion/data_tamer.h"
+#include "storage/codec.h"
 #include "storage/collection.h"
 #include "storage/document_store.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
+#include "test_files.h"
 
 namespace dt::storage {
 namespace {
-
-/// Unique temp directory per test; removed recursively on destruction.
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    path_ = ::testing::TempDir() + "dt_wal_" + tag + "_" +
-            std::to_string(::getpid());
-    RemoveAll();
-  }
-  ~TempDir() { RemoveAll(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void RemoveAll() {
-    // Two levels only (the durability layout is flat).
-    std::string cmd = "rm -rf '" + path_ + "'";
-    (void)!system(cmd.c_str());
-  }
-  std::string path_;
-};
 
 WalRecord InsertRecord(const std::string& coll, uint64_t inc, uint64_t epoch,
                        DocId id, int64_t payload) {
@@ -203,7 +186,7 @@ TEST(WalSegmentTest, BadFileHeaderIsCorruption) {
 TEST(WalWriterTest, AppendsAreReadableInEveryMode) {
   for (Durability mode :
        {Durability::kAsync, Durability::kGroup, Durability::kStrict}) {
-    TempDir dir(std::string("writer_") + DurabilityName(mode));
+    TempPath dir(std::string("writer_") + DurabilityName(mode));
     ASSERT_EQ(::mkdir(dir.path().c_str(), 0755), 0);
     const std::string path = dir.path() + "/wal-1.log";
     auto writer = WalWriter::Create(path, mode);
@@ -228,7 +211,7 @@ TEST(WalWriterTest, AppendsAreReadableInEveryMode) {
 }
 
 TEST(WalWriterTest, GroupCommitBatchesConcurrentAppends) {
-  TempDir dir("group");
+  TempPath dir("group");
   ASSERT_EQ(::mkdir(dir.path().c_str(), 0755), 0);
   auto writer = WalWriter::Create(dir.path() + "/wal-1.log",
                                   Durability::kGroup);
@@ -264,7 +247,7 @@ TEST(WalWriterTest, GroupCommitBatchesConcurrentAppends) {
 }
 
 TEST(SweepStaleTempFilesTest, RemovesDeadPidsKeepsLiveOnes) {
-  TempDir dir("sweep");
+  TempPath dir("sweep");
   ASSERT_EQ(::mkdir(dir.path().c_str(), 0755), 0);
   auto touch = [&](const std::string& name) {
     std::ofstream f(dir.path() + "/" + name);
@@ -300,7 +283,7 @@ DurabilityOptions Opts(const std::string& dir,
 }
 
 TEST(WalManagerTest, RecoversMutationsAcrossReopen) {
-  TempDir dir("mgr_basic");
+  TempPath dir("mgr_basic");
   std::string before;
   {
     std::unique_ptr<DocumentStore> recovered;
@@ -341,7 +324,7 @@ TEST(WalManagerTest, RecoversMutationsAcrossReopen) {
 }
 
 TEST(WalManagerTest, CheckpointReusesCleanCollections) {
-  TempDir dir("mgr_incr");
+  TempPath dir("mgr_incr");
   std::string before;
   {
     std::unique_ptr<DocumentStore> recovered;
@@ -387,7 +370,7 @@ TEST(WalManagerTest, CheckpointReusesCleanCollections) {
 }
 
 TEST(WalManagerTest, DropCollectionDoesNotResurrect) {
-  TempDir dir("mgr_drop");
+  TempPath dir("mgr_drop");
   std::string before;
   {
     std::unique_ptr<DocumentStore> recovered;
@@ -424,7 +407,7 @@ TEST(WalManagerTest, DropCollectionDoesNotResurrect) {
 }
 
 TEST(WalManagerTest, TornSegmentTailRecoversPrefix) {
-  TempDir dir("mgr_torn");
+  TempPath dir("mgr_torn");
   {
     std::unique_ptr<DocumentStore> recovered;
     auto mgr = WalManager::Open(Opts(dir.path()), "dt", &recovered);
@@ -455,8 +438,38 @@ TEST(WalManagerTest, TornSegmentTailRecoversPrefix) {
   }
 }
 
+TEST(WalManagerTest, OlderCodecManifestIsCorruption) {
+  TempPath dir("mgr_oldcodec");
+  {
+    std::unique_ptr<DocumentStore> recovered;
+    auto mgr = WalManager::Open(Opts(dir.path()), "dt", &recovered);
+    ASSERT_TRUE(mgr.ok());
+    DocumentStore store("dt");
+    Collection* coll = store.CreateCollection("docs").ValueOrDie();
+    ASSERT_TRUE((*mgr)->Attach(&store).ok());
+    coll->Insert(DocBuilder().Set("i", int64_t{1}).Build());
+    ASSERT_TRUE((*mgr)->Checkpoint().ok());
+    (*mgr)->DetachAll();
+  }
+  const std::string manifest = dir.path() + "/MANIFEST";
+  const std::string saved = Slurp(manifest);
+  ASSERT_GT(saved.size(), 8u);
+  for (uint16_t version = 1; version < kCodecVersion; ++version) {
+    std::string buf = saved;
+    std::memcpy(&buf[4], &version, sizeof version);  // after the magic
+    Spit(manifest, buf);
+    std::unique_ptr<DocumentStore> recovered;
+    auto mgr = WalManager::Open(Opts(dir.path()), "dt", &recovered);
+    ASSERT_TRUE(mgr.status().IsCorruption()) << mgr.status().ToString();
+    EXPECT_NE(mgr.status().ToString().find("codec version " +
+                                           std::to_string(version)),
+              std::string::npos)
+        << mgr.status().ToString();
+  }
+}
+
 TEST(DataTamerDurabilityTest, OpenRecoversFacadeState) {
-  TempDir dir("facade");
+  TempPath dir("facade");
   fusion::DataTamerOptions opts;
   opts.durability = Opts(dir.path());
   std::string before;
@@ -516,7 +529,7 @@ TEST(DataTamerDurabilityTest, OpenRecoversFacadeState) {
 }
 
 TEST(DataTamerDurabilityTest, LoadSnapshotRebaselinesDurableState) {
-  TempDir dir("facade_load");
+  TempPath dir("facade_load");
   fusion::DataTamerOptions opts;
   opts.durability = Opts(dir.path());
   const std::string snap = dir.path() + "/point.dtb";
@@ -537,8 +550,7 @@ TEST(DataTamerDurabilityTest, LoadSnapshotRebaselinesDurableState) {
     auto dt = fusion::DataTamer::Open(opts);
     ASSERT_TRUE(dt.ok());
     EXPECT_EQ((*dt)->instance_collection()->count(), 1);
-    const DocValue* doc = (*dt)->instance_collection()->Get(1);
-    ASSERT_NE(doc, nullptr);
+    EXPECT_NE((*dt)->instance_collection()->GetView().Get(1), nullptr);
   }
 }
 
