@@ -874,6 +874,16 @@ Status DataTamer::ApplyClusterDelta(
 
 Result<IngestResult> DataTamer::IngestRecords(
     std::vector<dedup::DedupRecord> records) {
+  if (wal_manager_ != nullptr) {
+    Status health = wal_manager_->health();
+    if (!health.ok()) {
+      return Status::Unavailable("ingest refused, durability lost: " +
+                                 health.ToString());
+    }
+  }
+  // One WAL commit for the whole batch (record log, fused upserts and a
+  // first call's collection enrollment alike).
+  storage::WalManager::CommitScope commit(wal_manager_.get());
   DT_RETURN_NOT_OK(EnsureStreaming());
   IngestResult out;
   for (dedup::DedupRecord& rec : records) {
@@ -897,6 +907,7 @@ Result<IngestResult> DataTamer::IngestRecords(
   ingest_stats_.rebuilds = ss.rebuilds;
   ingest_stats_.resident_clusters =
       static_cast<int64_t>(streaming_->num_clusters());
+  DT_RETURN_NOT_OK(commit.Commit());
   return out;
 }
 

@@ -198,11 +198,19 @@ class DataTamer {
   /// batch failure the records already applied stay applied — the
   /// persisted log is the source of truth and reopening reconciles
   /// dt.fused against it.
+  ///
+  /// On a durable facade the batch is one WAL commit: its appends are
+  /// written as they happen and, under kGroup, covered by one fsync at
+  /// the end; the call returns OK only after that commit. A WAL fault
+  /// during the batch is its return value (the IOError); once durability
+  /// is lost, every later call returns kUnavailable with that cause and
+  /// changes nothing.
   Result<IngestResult> IngestRecords(std::vector<dedup::DedupRecord> records);
 
   /// \brief `Execute` plus the mutating ops: routes kIngest through
   /// `IngestRecords` and delegates every read op to `Execute`. This is
-  /// what a read-write `DtServer` serves.
+  /// what a read-write `DtServer` serves, so a kIngest is acknowledged
+  /// only after its batch commit.
   Result<query::QueryResponse> ExecuteMutable(const query::QueryRequest& req);
 
   /// \brief Keyword search over the *fused* composite entities

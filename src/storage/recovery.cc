@@ -483,6 +483,33 @@ Status WalManager::Attach(DocumentStore* store) {
   return health();
 }
 
+namespace {
+
+/// The innermost open commit scope of the calling thread.
+thread_local WalManager::CommitScope* t_commit_scope = nullptr;
+
+}  // namespace
+
+WalManager::CommitScope::CommitScope(WalManager* mgr)
+    : mgr_(mgr), outer_(t_commit_scope) {
+  t_commit_scope = this;
+}
+
+WalManager::CommitScope::~CommitScope() {
+  if (!pending_.empty()) (void)Commit();
+  t_commit_scope = outer_;
+}
+
+Status WalManager::CommitScope::Commit() {
+  if (mgr_ == nullptr) return Status::OK();
+  for (const auto& [writer, seq] : pending_) {
+    Status st = writer->WaitDurable(seq);
+    if (!st.ok()) mgr_->SetUnhealthy(st);
+  }
+  pending_.clear();
+  return mgr_->health();
+}
+
 Status WalManager::AppendPayload(std::string_view payload) {
   std::shared_ptr<WalWriter> w;
   {
@@ -492,7 +519,25 @@ Status WalManager::AppendPayload(std::string_view payload) {
   if (w == nullptr) {
     return Status::Internal("WAL manager has no live segment");
   }
-  Status st = w->Append(payload);
+  // Only kGroup defers: kStrict promises a sync per append, and kAsync
+  // has no sync to defer.
+  CommitScope* scope =
+      opts_.durability == Durability::kGroup ? t_commit_scope : nullptr;
+  Status st;
+  if (scope != nullptr && scope->mgr_ == this) {
+    Result<uint64_t> seq = w->Write(payload);
+    st = seq.status();
+    if (seq.ok()) {
+      auto& pending = scope->pending_;
+      if (!pending.empty() && pending.back().first == w) {
+        pending.back().second = *seq;
+      } else {
+        pending.emplace_back(w, *seq);
+      }
+    }
+  } else {
+    st = w->Append(payload);
+  }
   if (!st.ok()) {
     SetUnhealthy(st);
     return st;

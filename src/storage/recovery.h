@@ -37,8 +37,10 @@
 ///
 /// The manager's write path can fail only on I/O errors; since
 /// `Collection::Insert` cannot surface a status, the first failure
-/// makes the manager sticky-unhealthy (`health()`), after which no
-/// further mutation is acknowledged as durable.
+/// makes the manager sticky-unhealthy (`health()`). A caller that must
+/// not acknowledge a lost mutation opens a `CommitScope` around its
+/// mutations and acknowledges only if `Commit()` returns OK (the
+/// facade's ingest path does; a bare `Collection::Insert` cannot tell).
 
 #pragma once
 
@@ -145,6 +147,36 @@ class WalManager {
 
   /// First WAL I/O failure, sticky; OK while healthy.
   Status health() const;
+
+  /// \brief Groups the WAL appends one thread makes into one commit.
+  ///
+  /// While the scope is open, a kGroup append made *by the thread that
+  /// opened it* is only written; `Commit()` then waits for one
+  /// group-commit fsync covering all of them (one per segment touched:
+  /// an auto-checkpoint may rotate the segment mid-batch) and returns
+  /// the sticky `health()`. Appends from other threads, and every
+  /// kStrict append, keep their per-append sync; under kAsync there is
+  /// nothing to wait for and `Commit()` only reports `health()`. A
+  /// scope destroyed uncommitted commits (and drops the status), so
+  /// no kGroup append is ever left unsynced. A null manager makes a
+  /// no-op scope. Scopes nest per thread: the innermost one collects.
+  class CommitScope {
+   public:
+    explicit CommitScope(WalManager* mgr);
+    ~CommitScope();
+    CommitScope(const CommitScope&) = delete;
+    CommitScope& operator=(const CommitScope&) = delete;
+
+    /// Syncs what the scope collected; returns the manager's health.
+    Status Commit();
+
+   private:
+    friend class WalManager;
+    WalManager* mgr_;
+    CommitScope* outer_;  ///< the scope this one shadows on its thread
+    /// Highest sequence number written per touched segment writer.
+    std::vector<std::pair<std::shared_ptr<WalWriter>, uint64_t>> pending_;
+  };
 
   DurabilityStats stats() const;
 

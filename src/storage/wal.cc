@@ -284,7 +284,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
   return writer;
 }
 
-Status WalWriter::Append(std::string_view payload) {
+Result<uint64_t> WalWriter::Write(std::string_view payload) {
   if (payload.size() > kMaxWalRecordSize) {
     return Status::OutOfRange("WAL record of " +
                               std::to_string(payload.size()) +
@@ -294,7 +294,7 @@ Status WalWriter::Append(std::string_view payload) {
   frame.reserve(kWalRecordHeaderSize + payload.size());
   AppendWalFrame(payload, &frame);
 
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (!health_.ok()) return health_;
   size_t done = 0;
   while (done < frame.size()) {
@@ -309,33 +309,18 @@ Status WalWriter::Append(std::string_view payload) {
     }
     done += static_cast<size_t>(n);
   }
-  const uint64_t my_seq = ++written_seq_;
   ++stats_.appends;
   stats_.bytes += frame.size();
   bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
+  return ++written_seq_;
+}
 
-  switch (mode_) {
-    case Durability::kNone:
-    case Durability::kAsync:
-      return Status::OK();
-    case Durability::kStrict: {
-      if (::fsync(fd_) != 0) {
-        health_ = Status::IOError("WAL fsync of " + path_ + " failed");
-        cv_.notify_all();
-        return health_;
-      }
-      ++stats_.syncs;
-      synced_seq_ = written_seq_;
-      return Status::OK();
-    }
-    case Durability::kGroup:
-      break;
-  }
-
+Status WalWriter::WaitDurable(uint64_t seq) {
   // Leader-based group commit: whoever finds no sync in flight syncs
   // on behalf of every append written so far; the rest wait on the
   // condvar until a completed sync covers their sequence number.
-  while (synced_seq_ < my_seq) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (synced_seq_ < seq) {
     if (!health_.ok()) return health_;
     if (!sync_in_flight_) {
       sync_in_flight_ = true;
@@ -358,6 +343,30 @@ Status WalWriter::Append(std::string_view payload) {
     }
   }
   return Status::OK();
+}
+
+Status WalWriter::Append(std::string_view payload) {
+  DT_ASSIGN_OR_RETURN(const uint64_t seq, Write(payload));
+  switch (mode_) {
+    case Durability::kNone:
+    case Durability::kAsync:
+      return Status::OK();
+    case Durability::kStrict: {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!health_.ok()) return health_;
+      if (::fsync(fd_) != 0) {
+        health_ = Status::IOError("WAL fsync of " + path_ + " failed");
+        cv_.notify_all();
+        return health_;
+      }
+      ++stats_.syncs;
+      synced_seq_ = written_seq_;
+      return Status::OK();
+    }
+    case Durability::kGroup:
+      break;
+  }
+  return WaitDurable(seq);
 }
 
 Status WalWriter::Sync() {

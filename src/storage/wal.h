@@ -40,7 +40,9 @@
 ///   kGroup   every append is fsynced before returning, but one
 ///            leader thread syncs for every append written at the
 ///            moment it enters the kernel — N concurrent writers pay
-///            ~1 fsync, not N (leader-based group commit)
+///            ~1 fsync, not N (leader-based group commit). Inside a
+///            `WalManager::CommitScope` the opening thread's appends
+///            are only written; its `Commit` waits for one fsync.
 ///   kStrict  fsync per append while holding the writer mutex
 ///
 /// Note kill -9 (the crash-fuzz harness) never loses write()n bytes —
@@ -160,6 +162,14 @@ struct WalWriterStats {
 
 /// \brief Single segment file appender. Thread-safe; `Append` returns
 /// with the record durable per the segment's durability mode.
+///
+/// `Append` is `Write` followed by the mode's sync step. The two halves
+/// are public so a caller can write several records and then wait
+/// once: `Write` frames and write()s a record and returns its sequence
+/// number; `WaitDurable(seq)` runs the group-commit leader/follower
+/// loop until an fsync covers every record up to `seq`. A batch of N
+/// `Write`s followed by one `WaitDurable` of the last sequence number
+/// costs one fsync (what `WalManager::CommitScope` does under kGroup).
 class WalWriter {
  public:
   /// Creates (truncating) the segment at `path`, writes and syncs the
@@ -176,6 +186,18 @@ class WalWriter {
   /// status, so one lost record can never be silently followed by
   /// acknowledged ones.
   Status Append(std::string_view payload);
+
+  /// Frames and write()s one record payload without syncing; returns
+  /// its sequence number (1, 2, ... per segment). Failures are sticky
+  /// exactly as in `Append`.
+  Result<uint64_t> Write(std::string_view payload);
+
+  /// Returns once an fsync covers every record written up to `seq`:
+  /// the first waiter that finds no sync in flight leads one fsync for
+  /// everything written so far; the rest wait for it. Returns at once
+  /// if `seq` is already covered, and the sticky failure if a sync
+  /// failed first.
+  Status WaitDurable(uint64_t seq);
 
   /// Forces everything appended so far to disk (any mode).
   Status Sync();

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,6 +247,33 @@ TEST(WalWriterTest, GroupCommitBatchesConcurrentAppends) {
   EXPECT_EQ(recs.size(), static_cast<size_t>(kThreads * kPerThread));
 }
 
+TEST(WalWriterTest, WritesThenOneWaitDurableIsOneSync) {
+  TempPath dir("write_wait");
+  ASSERT_EQ(::mkdir(dir.path().c_str(), 0755), 0);
+  auto writer = WalWriter::Create(dir.path() + "/wal-1.log",
+                                  Durability::kGroup);
+  ASSERT_TRUE(writer.ok());
+  uint64_t last = 0;
+  for (int i = 0; i < 10; ++i) {
+    std::string payload;
+    ASSERT_TRUE(
+        EncodeWalRecord(InsertRecord("c", 1, 1 + i, 1 + i, i), &payload).ok());
+    auto seq = (*writer)->Write(payload);
+    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    EXPECT_EQ(*seq, last + 1);
+    last = *seq;
+  }
+  EXPECT_EQ((*writer)->stats().syncs, 0u);
+  ASSERT_TRUE((*writer)->WaitDurable(last).ok());
+  WalWriterStats ws = (*writer)->stats();
+  EXPECT_EQ(ws.appends, 10u);
+  EXPECT_EQ(ws.syncs, 1u);
+  EXPECT_EQ(ws.group_batches, 1u);
+  // Already covered: no further fsync.
+  ASSERT_TRUE((*writer)->WaitDurable(3).ok());
+  EXPECT_EQ((*writer)->stats().syncs, 1u);
+}
+
 TEST(SweepStaleTempFilesTest, RemovesDeadPidsKeepsLiveOnes) {
   TempPath dir("sweep");
   ASSERT_EQ(::mkdir(dir.path().c_str(), 0755), 0);
@@ -404,6 +432,108 @@ TEST(WalManagerTest, DropCollectionDoesNotResurrect) {
     EXPECT_FALSE(recovered->GetCollection("gone").ok());
     EXPECT_EQ(StoreBytes(*recovered), before);
   }
+}
+
+TEST(WalManagerTest, CommitScopeSpansASegmentRotation) {
+  TempPath dir("mgr_scope_rotate");
+  std::string before;
+  {
+    std::unique_ptr<DocumentStore> recovered;
+    auto mgr = WalManager::Open(Opts(dir.path()), "dt", &recovered);
+    ASSERT_TRUE(mgr.ok());
+    DocumentStore store("dt");
+    Collection* coll = store.CreateCollection("docs").ValueOrDie();
+    ASSERT_TRUE((*mgr)->Attach(&store).ok());
+    const DurabilityStats s0 = (*mgr)->stats();
+    {
+      WalManager::CommitScope scope(mgr->get());
+      for (int i = 0; i < 5; ++i) {
+        coll->Insert(DocBuilder().Set("i", static_cast<int64_t>(i)).Build());
+      }
+      EXPECT_EQ((*mgr)->stats().wal_syncs, s0.wal_syncs);
+      // A checkpoint mid-scope rotates the live segment: the scope's
+      // later appends land in a second writer.
+      ASSERT_TRUE((*mgr)->Checkpoint().ok());
+      for (int i = 5; i < 10; ++i) {
+        coll->Insert(DocBuilder().Set("i", static_cast<int64_t>(i)).Build());
+      }
+      ASSERT_TRUE(scope.Commit().ok());
+    }
+    const DurabilityStats s1 = (*mgr)->stats();
+    EXPECT_EQ(s1.wal_appends - s0.wal_appends, 10u);
+    // The rotation syncs the retired segment; the commit syncs the
+    // live one once.
+    EXPECT_EQ(s1.wal_syncs - s0.wal_syncs, 2u);
+    before = StoreBytes(store);
+    (*mgr)->DetachAll();
+  }
+  std::unique_ptr<DocumentStore> recovered;
+  auto mgr = WalManager::Open(Opts(dir.path()), "dt", &recovered);
+  ASSERT_TRUE(mgr.ok());
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(StoreBytes(*recovered), before);
+}
+
+TEST(WalManagerTest, CommitScopeDoesNotCoverAnotherThread) {
+  TempPath dir("mgr_scope_thread");
+  std::unique_ptr<DocumentStore> recovered;
+  auto mgr = WalManager::Open(Opts(dir.path()), "dt", &recovered);
+  ASSERT_TRUE(mgr.ok());
+  DocumentStore store("dt");
+  Collection* a = store.CreateCollection("a").ValueOrDie();
+  Collection* b = store.CreateCollection("b").ValueOrDie();
+  ASSERT_TRUE((*mgr)->Attach(&store).ok());
+  auto syncs = [&] { return (*mgr)->stats().wal_syncs; };
+
+  // Thread A holds a scope open over written, unsynced appends while
+  // thread B inserts directly into another collection.
+  std::promise<void> a_wrote, b_done;
+  std::future<void> b_done_seen = b_done.get_future();
+  uint64_t a_commit_syncs = 0;
+  std::thread thread_a([&] {
+    WalManager::CommitScope scope(mgr->get());
+    for (int i = 0; i < 5; ++i) {
+      a->Insert(DocBuilder().Set("i", static_cast<int64_t>(i)).Build());
+    }
+    a_wrote.set_value();
+    b_done_seen.wait();
+    const uint64_t before = syncs();
+    EXPECT_TRUE(scope.Commit().ok());
+    a_commit_syncs = syncs() - before;
+  });
+  a_wrote.get_future().wait();
+  const uint64_t s0 = syncs();
+  b->Insert(DocBuilder().Set("j", int64_t{1}).Build());
+  // B returned after an fsync of its own: A's open scope never syncs.
+  EXPECT_EQ(syncs(), s0 + 1);
+  b_done.set_value();
+  thread_a.join();
+  // That fsync covered everything write()n before it, A's appends
+  // included, so A's commit found nothing left to sync.
+  EXPECT_EQ(a_commit_syncs, 0u);
+
+  // Concurrently: A commits batches in a loop while every direct
+  // insert of B still returns only after an fsync that started after
+  // its append.
+  std::thread batches([&] {
+    for (int n = 0; n < 20; ++n) {
+      WalManager::CommitScope scope(mgr->get());
+      for (int i = 0; i < 10; ++i) {
+        a->Insert(DocBuilder().Set("n", static_cast<int64_t>(n)).Build());
+      }
+      EXPECT_TRUE(scope.Commit().ok());
+    }
+  });
+  for (int i = 0; i < 50; ++i) {
+    const uint64_t before = syncs();
+    b->Insert(DocBuilder().Set("j", static_cast<int64_t>(i)).Build());
+    EXPECT_GT(syncs(), before) << "insert " << i;
+  }
+  batches.join();
+  EXPECT_EQ(a->count(), 205);
+  EXPECT_EQ(b->count(), 51);
+  EXPECT_TRUE((*mgr)->health().ok());
+  (*mgr)->DetachAll();
 }
 
 TEST(WalManagerTest, TornSegmentTailRecoversPrefix) {
