@@ -177,6 +177,48 @@ Result<StreamingConsolidator::IngestDelta> StreamingConsolidator::Ingest(
   return delta;
 }
 
+Result<std::vector<std::pair<size_t, size_t>>>
+StreamingConsolidator::LiveBlockPairs(ThreadPool* pool) const {
+  std::vector<const std::vector<size_t>*> live;
+  live.reserve(blocks_.size());
+  for (const auto& [key, block] : blocks_) {
+    if (!block.dead) live.push_back(&block.members);
+  }
+  // Member lists are ascending, so every pair comes out (i < j). Each
+  // chunk sorts its own share; the merge below restores one global
+  // order, independent of the chunk count.
+  const size_t num_chunks =
+      pool != nullptr ? static_cast<size_t>(pool->num_threads()) : 1;
+  std::vector<std::vector<std::pair<size_t, size_t>>> parts(num_chunks);
+  auto expand = [&](size_t chunk, size_t lo, size_t hi) -> Status {
+    std::vector<std::pair<size_t, size_t>>& out = parts[chunk];
+    for (size_t b = lo; b < hi; ++b) {
+      const std::vector<size_t>& m = *live[b];
+      for (size_t i = 0; i < m.size(); ++i) {
+        for (size_t j = i + 1; j < m.size(); ++j) out.emplace_back(m[i], m[j]);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return Status::OK();
+  };
+  if (num_chunks > 1) {
+    DT_RETURN_NOT_OK(
+        pool->ParallelForChunks(0, live.size(), num_chunks, expand));
+  } else {
+    DT_RETURN_NOT_OK(expand(0, 0, live.size()));
+  }
+  std::vector<std::pair<size_t, size_t>> pairs = std::move(parts[0]);
+  for (size_t c = 1; c < num_chunks; ++c) {
+    pairs.insert(pairs.end(), parts[c].begin(), parts[c].end());
+  }
+  if (num_chunks > 1) {
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  }
+  return pairs;
+}
+
 Status StreamingConsolidator::Seed(std::vector<DedupRecord> records,
                                    ThreadPool* pool) {
   if (!records_.empty()) {
@@ -213,10 +255,10 @@ Status StreamingConsolidator::Seed(std::vector<DedupRecord> records,
     }
   }
 
-  // Candidates + scoring through the exact batch path.
-  BlockingStats bstats;
-  auto candidates =
-      GenerateCandidatePairs(records_, opts_.blocking, &bstats, pool);
+  // Candidates from the live blocks just built (the batch candidate
+  // set: dead blocks are exactly the ones batch blocking skips), then
+  // scoring through the exact batch path.
+  DT_ASSIGN_OR_RETURN(auto candidates, LiveBlockPairs(pool));
   std::vector<std::pair<size_t, size_t>> matched;
   DT_RETURN_NOT_OK(
       ScoreCandidatePairs(records_, candidates, opts_, pool, &matched));

@@ -149,6 +149,12 @@ class StreamingConsolidator {
   /// member map from the surviving match set.
   void RebuildClusters();
 
+  /// Every pair of records sharing a live block, sorted and unique —
+  /// what `GenerateCandidatePairs` yields over `records_`, without
+  /// recomputing any blocking key. Identical for every pool size.
+  Result<std::vector<std::pair<size_t, size_t>>> LiveBlockPairs(
+      ThreadPool* pool) const;
+
   ConsolidationOptions opts_;
   std::vector<DedupRecord> records_;
   std::vector<std::vector<std::string>> keys_of_record_;

@@ -775,7 +775,15 @@ Status DataTamer::EnsureStreaming() {
     ingest_stats_.seeded_records =
         static_cast<int64_t>(streaming_->records().size());
   }
-  return ReconcileFusedDocs();
+  // A clean reopen writes nothing; whatever reconcile does repair
+  // commits as one batch (one fsync under kGroup). On failure the next
+  // call starts over, so a repair that did not commit is never
+  // reported as success.
+  storage::WalManager::CommitScope commit(wal_manager_.get());
+  Status st = ReconcileFusedDocs();
+  if (st.ok()) st = commit.Commit();
+  if (!st.ok()) streaming_.reset();
+  return st;
 }
 
 Status DataTamer::ReconcileFusedDocs() {
@@ -805,17 +813,23 @@ Status DataTamer::ReconcileFusedDocs() {
       return;
     }
     cluster_doc_[key] = id;
+    // Storage stamps every doc with its own id as a trailing "_id"
+    // field; expect exactly that, so a doc that matches costs nothing.
+    it->second.Add("_id", DocValue::Int(static_cast<int64_t>(id)));
     if (!doc.Equals(it->second)) repair.emplace_back(id, key);
   });
+  const size_t missing = expected.size() - cluster_doc_.size();
+  ingest_stats_.fused_repaired =
+      static_cast<int64_t>(drop.size() + repair.size() + missing);
   for (storage::DocId id : drop) {
     DT_RETURN_NOT_OK(fused_coll_->Remove(id));
   }
   for (const auto& [id, key] : repair) {
-    DT_RETURN_NOT_OK(fused_coll_->Update(id, expected.at(key)));
+    DT_RETURN_NOT_OK(fused_coll_->Update(id, std::move(expected.at(key))));
   }
-  for (const auto& [key, doc] : expected) {
+  for (auto& [key, doc] : expected) {
     if (cluster_doc_.count(key) > 0) continue;
-    cluster_doc_[key] = fused_coll_->Insert(doc);
+    cluster_doc_[key] = fused_coll_->Insert(std::move(doc));
   }
   // Index over the reconciled docs.
   const storage::CollectionView fused = fused_coll_->GetView();

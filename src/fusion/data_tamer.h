@@ -96,6 +96,11 @@ struct IngestStats {
   /// Records restored into the resident state from the persisted
   /// dt.dedup_record log (recovery / first use after a snapshot load).
   int64_t seeded_records = 0;
+  /// dt.fused docs the last reconcile against the record log dropped,
+  /// rewrote or inserted: 0 after a clean reopen, non-zero when a
+  /// crash left dt.fused behind the log (or it was changed out of
+  /// band).
+  int64_t fused_repaired = 0;
 };
 
 /// What one `IngestRecord(s)` call changed.
@@ -399,7 +404,8 @@ class DataTamer {
   /// attaching the WAL when durable so the new lineages are logged),
   /// seeds the resident consolidator from the persisted record log,
   /// and reconciles dt.fused against it (heals a crash that landed
-  /// between the record append and the fused upsert).
+  /// between the record append and the fused upsert). The repairs are
+  /// one WAL commit, whose failure is the returned status.
   Status EnsureStreaming();
 
   /// Applies one ingest delta to dt.fused: removed cluster keys drop
@@ -416,7 +422,8 @@ class DataTamer {
 
   /// Rebuilds the cluster-key -> DocId map and the entity text index
   /// from the consolidator + the persisted fused docs, repairing any
-  /// divergence (the record log wins).
+  /// divergence (the record log wins). Docs that already match are
+  /// left untouched, so a clean reopen mutates nothing.
   Status ReconcileFusedDocs();
 
   /// The fused doc for one cluster: the composite entity encoding plus

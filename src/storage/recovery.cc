@@ -262,6 +262,7 @@ Status WalManager::Recover(std::unique_ptr<DocumentStore>* recovered) {
   // gap means un-synced log bytes were lost (power loss under
   // kAsync) — replay stops at the last consistent prefix.
   bool stopped = false;
+  bool torn_header = false;  // the newest segment's header is torn
   for (uint64_t s : segs) {
     if (s < manifest_floor_) continue;  // folded; pruned next checkpoint
     std::vector<WalRecord> recs;
@@ -282,6 +283,7 @@ Status WalManager::Recover(std::unique_ptr<DocumentStore>* recovered) {
       DT_LOG(Warning) << "WAL segment " << SegmentName(s)
                       << " has a torn file header; treating as empty";
       ++recovered_segments_;
+      torn_header = true;
       continue;
     }
     ++recovered_segments_;
@@ -379,9 +381,11 @@ Status WalManager::Recover(std::unique_ptr<DocumentStore>* recovered) {
     }
   }
 
-  // Open the live segment past everything seen.
-  seq_ = std::max<uint64_t>(segs.empty() ? 0 : segs.back() + 1,
-                            std::max<uint64_t>(manifest_floor_, 1));
+  // Open the live segment past everything seen. A torn-header segment
+  // holds no record and is rewritten as the live one: left behind a
+  // newer segment, the next recovery would take it for corruption.
+  const uint64_t next = segs.empty() ? 0 : segs.back() + (torn_header ? 0 : 1);
+  seq_ = std::max<uint64_t>(next, std::max<uint64_t>(manifest_floor_, 1));
   DT_ASSIGN_OR_RETURN(
       std::unique_ptr<WalWriter> w,
       WalWriter::Create(JoinPath(opts_.dir, SegmentName(seq_)),

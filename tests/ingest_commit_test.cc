@@ -5,16 +5,25 @@
 /// that commit. A WAL fault (RLIMIT_FSIZE 0 in a forked child) fails
 /// the batch it hits; every later ingest, in process or as a kIngest
 /// over a `DtServer`, is refused with kUnavailable carrying the cause.
+/// Reopening is read-only when nothing diverged (no WAL append, dt.fused
+/// and the logged bytes untouched), a real divergence in dt.fused is
+/// repaired as one commit, and a repair whose commit fails is an error
+/// of `IngestedEntities`, also when asked again.
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,12 +34,19 @@
 #include "query/request.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "storage/codec.h"
+#include "storage/document_store.h"
+#include "storage/recovery.h"
+#include "storage/snapshot.h"
+#include "storage/wal.h"
 #include "test_files.h"
 
 namespace dt::fusion {
 namespace {
 
 using dedup::DedupRecord;
+using storage::DocId;
+using storage::DocValue;
 using storage::Durability;
 using storage::DurabilityStats;
 
@@ -118,6 +134,9 @@ enum FaultExit : int {
   kLaterIngestLostCause,
   kLaterIngestMutated,
   kWireIngestNotUnavailable,
+  kRepairAcked,
+  kRepairNotIoError,
+  kRepairRetryOk,
 };
 
 /// The forked child: a durable kGroup facade served read-write, then
@@ -193,6 +212,280 @@ TEST(IngestCommitTest, WalFaultFailsTheBatchAndRefusesLaterIngests) {
                                  << WTERMSIG(status);
   EXPECT_EQ(WEXITSTATUS(status), kFaultOk)
       << "fault child failed check " << WEXITSTATUS(status)
+      << " (see FaultExit)";
+}
+
+// ---- reopen: reconcile dt.fused against the record log ---------------
+
+/// Streams `corpus` into a fresh durable facade in batches of `batch`
+/// records, then closes it.
+void StreamInto(const DataTamerOptions& opts,
+                const std::vector<DedupRecord>& corpus, size_t batch) {
+  auto tamer = DataTamer::Open(opts);
+  ASSERT_TRUE(tamer.ok()) << tamer.status().ToString();
+  for (size_t b = 0; b < corpus.size(); b += batch) {
+    std::vector<DedupRecord> part(
+        corpus.begin() + b,
+        corpus.begin() + std::min(b + batch, corpus.size()));
+    auto r = (*tamer)->IngestRecords(std::move(part));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+}
+
+/// Bytes of logged WAL records under `dir`: every segment file minus
+/// its header (each open starts a fresh, empty segment).
+uint64_t WalRecordBytes(const std::string& dir) {
+  uint64_t bytes = 0;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return 0;
+  while (dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name.rfind("wal-", 0) != 0) continue;
+    struct stat st;
+    if (::stat((dir + "/" + name).c_str(), &st) != 0) continue;
+    const auto size = static_cast<uint64_t>(st.st_size);
+    bytes += size - std::min<uint64_t>(size, storage::kWalFileHeaderSize);
+  }
+  ::closedir(d);
+  return bytes;
+}
+
+/// The facade's whole store as `SaveSnapshot` writes it to `path`:
+/// documents, ids, indexes and every collection's mutation epoch.
+std::string StoreBytes(const DataTamer& tamer, const std::string& path) {
+  EXPECT_TRUE(tamer.SaveSnapshot(path).ok());
+  return Slurp(path);
+}
+
+/// The store snapshot at `path` (null when it does not load).
+std::unique_ptr<storage::DocumentStore> LoadStore(const std::string& path) {
+  auto store = storage::LoadSnapshot(path);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return store.ok() ? std::move(*store) : nullptr;
+}
+
+/// A fused doc without the "_id" its collection stamped, encoded.
+std::string WithoutId(const DocValue& doc) {
+  DocValue out = DocValue::Object();
+  for (const auto& [name, value] : doc.fields()) {
+    if (name != "_id") out.Add(name, value);
+  }
+  std::string bytes;
+  EXPECT_TRUE(storage::EncodeDocValue(out, &bytes).ok());
+  return bytes;
+}
+
+/// cluster_id -> fused doc (without "_id") of one dt.fused collection.
+std::map<int64_t, std::string> FusedByCluster(
+    const storage::Collection& fused) {
+  std::map<int64_t, std::string> out;
+  fused.GetView().ForEach([&](DocId id, const DocValue& doc) {
+    const DocValue* key = doc.Find("cluster_id");
+    const DocValue* stamped = doc.Find("_id");
+    EXPECT_TRUE(key != nullptr && key->is_int());
+    EXPECT_TRUE(stamped != nullptr && stamped->is_int() &&
+                stamped->int_value() == static_cast<int64_t>(id));
+    if (key != nullptr && key->is_int()) {
+      EXPECT_TRUE(out.emplace(key->int_value(), WithoutId(doc)).second)
+          << "two docs for cluster " << key->int_value();
+    }
+  });
+  return out;
+}
+
+std::string EntitySetBytes(const std::vector<dedup::CompositeEntity>& set) {
+  std::string out;
+  for (const auto& e : set) {
+    EXPECT_TRUE(storage::EncodeDocValue(dedup::CompositeEntityToDoc(e), &out)
+                    .ok());
+  }
+  return out;
+}
+
+/// Streams 240 records in batches, then reopens the directory twice.
+/// Each reopen reseeds and reconciles without one WAL append: the
+/// store (dt.fused's docs and mutation epoch included), the entity set
+/// and the directory's logged bytes stay exactly as the stream left
+/// them.
+void ExpectCleanReopenIsReadOnly(Durability mode, const std::string& tag) {
+  TempPath dir(tag);
+  TempPath probe(tag + "_probe");
+  const DataTamerOptions opts = DurableOpts(dir.path(), mode);
+  const std::vector<DedupRecord> corpus = Corpus(120);
+  StreamInto(opts, corpus, 20);
+  if (::testing::Test::HasFatalFailure()) return;
+  const uint64_t logged = WalRecordBytes(dir.path());
+  EXPECT_GT(logged, 0u);
+
+  std::string first_entities;
+  for (int reopen = 1; reopen <= 2; ++reopen) {
+    SCOPED_TRACE("reopen " + std::to_string(reopen));
+    auto tamer = DataTamer::Open(opts);
+    ASSERT_TRUE(tamer.ok()) << tamer.status().ToString();
+    const std::string before = StoreBytes(**tamer, probe.path());
+    auto before_store = LoadStore(probe.path());
+    ASSERT_NE(before_store, nullptr);
+    auto before_fused = before_store->GetCollection("fused");
+    ASSERT_TRUE(before_fused.ok());
+    const DurabilityStats wal = (*tamer)->durability_stats();
+
+    auto entities = (*tamer)->IngestedEntities();  // reseeds + reconciles
+    ASSERT_TRUE(entities.ok()) << entities.status().ToString();
+    EXPECT_EQ((*tamer)->durability_stats().wal_appends, wal.wal_appends);
+    EXPECT_EQ((*tamer)->durability_stats().wal_syncs, wal.wal_syncs);
+    EXPECT_EQ((*tamer)->ingest_stats().seeded_records,
+              static_cast<int64_t>(corpus.size()));
+    EXPECT_EQ((*tamer)->ingest_stats().fused_repaired, 0);
+    EXPECT_TRUE(StoreBytes(**tamer, probe.path()) == before)
+        << "reconcile changed the store";
+    auto after_store = LoadStore(probe.path());
+    ASSERT_NE(after_store, nullptr);
+    auto after_fused = after_store->GetCollection("fused");
+    ASSERT_TRUE(after_fused.ok());
+    EXPECT_EQ((*after_fused)->mutation_epoch(),
+              (*before_fused)->mutation_epoch());
+    EXPECT_EQ(FusedByCluster(**after_fused).size(), entities->size());
+
+    if (reopen == 1) {
+      first_entities = EntitySetBytes(*entities);
+    } else {
+      EXPECT_TRUE(EntitySetBytes(*entities) == first_entities)
+          << "the entity set changed across reopens";
+    }
+    tamer->reset();  // close before measuring the directory
+    EXPECT_EQ(WalRecordBytes(dir.path()), logged);
+  }
+}
+
+TEST(IngestCommitTest, CleanReopenIsReadOnlyUnderGroup) {
+  ExpectCleanReopenIsReadOnly(Durability::kGroup, "reopen_group");
+}
+
+TEST(IngestCommitTest, CleanReopenIsReadOnlyUnderAsync) {
+  ExpectCleanReopenIsReadOnly(Durability::kAsync, "reopen_async");
+}
+
+/// What `DamageFused` changed: dt.fused as the stream left it (by
+/// cluster), and the doc whose text it rewrote.
+struct Damage {
+  std::map<int64_t, std::string> want;
+  DocId rewritten = 0;
+  std::string true_text;
+};
+
+/// Damages dt.fused three ways through a store attached to the same
+/// log: rewrites one doc's text, removes another cluster's doc and
+/// inserts an orphan that no cluster owns.
+void DamageFused(const DataTamerOptions& opts, Damage* out) {
+  std::unique_ptr<storage::DocumentStore> store;
+  auto mgr = storage::WalManager::Open(opts.durability, "dt", &store);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE((*mgr)->Attach(store.get()).ok());
+  auto fused = store->GetCollection("fused");
+  ASSERT_TRUE(fused.ok());
+  out->want = FusedByCluster(**fused);
+  std::vector<std::pair<DocId, DocValue>> docs;
+  (*fused)->GetView().ForEach([&](DocId id, const DocValue& doc) {
+    docs.emplace_back(id, doc);
+  });
+  ASSERT_GE(docs.size(), 2u);
+  out->rewritten = docs[0].first;
+  out->true_text = docs[0].second.Find("text")->string_value();
+  DocValue damaged = docs[0].second;
+  damaged.Set("text", DocValue::Str("zzdamaged"));
+  ASSERT_TRUE((*fused)->Update(out->rewritten, std::move(damaged)).ok());
+  ASSERT_TRUE((*fused)->Remove(docs[1].first).ok());
+  (*fused)->Insert(storage::DocBuilder()
+                       .Set("cluster_id", int64_t{1} << 40)
+                       .Set("text", "zzorphan")
+                       .Build());
+}
+
+TEST(IngestCommitTest, ReopenRepairsRealDivergenceInOneCommit) {
+  TempPath dir("reopen_repair");
+  TempPath probe("reopen_repair_probe");
+  const DataTamerOptions opts = DurableOpts(dir.path(), Durability::kGroup);
+  StreamInto(opts, Corpus(60), 20);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  Damage damage;
+  DamageFused(opts, &damage);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  {
+    auto tamer = DataTamer::Open(opts);
+    ASSERT_TRUE(tamer.ok()) << tamer.status().ToString();
+    const DurabilityStats wal = (*tamer)->durability_stats();
+    auto entities = (*tamer)->IngestedEntities();
+    ASSERT_TRUE(entities.ok()) << entities.status().ToString();
+    // One drop, one rewrite, one insert: three appends, one commit.
+    EXPECT_EQ((*tamer)->ingest_stats().fused_repaired, 3);
+    EXPECT_EQ((*tamer)->durability_stats().wal_appends, wal.wal_appends + 3);
+    EXPECT_EQ((*tamer)->durability_stats().wal_syncs, wal.wal_syncs + 1);
+
+    ASSERT_TRUE((*tamer)->SaveSnapshot(probe.path()).ok());
+    auto store = LoadStore(probe.path());
+    ASSERT_NE(store, nullptr);
+    auto fused = store->GetCollection("fused");
+    ASSERT_TRUE(fused.ok());
+    EXPECT_EQ(FusedByCluster(**fused), damage.want);
+    EXPECT_EQ(damage.want.size(), entities->size());
+
+    bool found = false;
+    for (const auto& hit : (*tamer)->SearchEntities(damage.true_text, 5)) {
+      found = found || hit.doc_id == damage.rewritten;
+    }
+    EXPECT_TRUE(found) << "no hit for \"" << damage.true_text << "\"";
+    EXPECT_TRUE((*tamer)->SearchEntities("zzdamaged").empty());
+    EXPECT_TRUE((*tamer)->SearchEntities("zzorphan").empty());
+  }
+
+  // The repair is durable: the next reopen has nothing left to do.
+  auto tamer = DataTamer::Open(opts);
+  ASSERT_TRUE(tamer.ok()) << tamer.status().ToString();
+  ASSERT_TRUE((*tamer)->IngestedEntities().ok());
+  EXPECT_EQ((*tamer)->ingest_stats().fused_repaired, 0);
+  EXPECT_EQ((*tamer)->durability_stats().wal_appends, 0u);
+}
+
+/// The forked child: reopens a damaged directory, then every WAL write
+/// fails, so reconcile's repair commit fails.
+[[noreturn]] void RunRepairFaultChild(const DataTamerOptions& opts) {
+  auto opened = DataTamer::Open(opts);
+  if (!opened.ok()) _exit(kOpenFailed);
+  std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit lim = {0, 0};
+  if (setrlimit(RLIMIT_FSIZE, &lim) != 0) _exit(kRlimitFailed);
+  auto first = (*opened)->IngestedEntities();
+  if (first.ok()) _exit(kRepairAcked);
+  if (!first.status().IsIOError()) {
+    std::fprintf(stderr, "failed repair: %s\n",
+                 first.status().ToString().c_str());
+    _exit(kRepairNotIoError);
+  }
+  // The repairs are applied in memory but not durable: asking again
+  // must not turn the failure into a success.
+  if ((*opened)->IngestedEntities().ok()) _exit(kRepairRetryOk);
+  _exit(kFaultOk);
+}
+
+TEST(IngestCommitTest, FailedRepairCommitFailsIngestedEntities) {
+  TempPath dir("reopen_repair_fault");
+  const DataTamerOptions opts = DurableOpts(dir.path(), Durability::kGroup);
+  StreamInto(opts, Corpus(20), 10);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  Damage damage;
+  DamageFused(opts, &damage);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) RunRepairFaultChild(opts);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), kFaultOk)
+      << "repair fault child failed check " << WEXITSTATUS(status)
       << " (see FaultExit)";
 }
 

@@ -12,7 +12,9 @@
 /// rotate the WAL segment under them. The child reports every
 /// acknowledged batch through a pipe; after recovery each acknowledged
 /// record must be in the record log, the resident entity set must equal
-/// batch `Consolidate` over that log, and dt.fused must mirror it.
+/// batch `Consolidate` over that log, and dt.fused must mirror it; a
+/// second reopen must then append nothing and reproduce the same
+/// entities and dt.fused docs byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -302,6 +304,28 @@ std::string EntityBytesNoId(dedup::CompositeEntity e) {
   return out;
 }
 
+std::string EntitySetBytes(const std::vector<dedup::CompositeEntity>& set) {
+  std::string out;
+  for (const auto& e : set) {
+    EXPECT_TRUE(EncodeDocValue(dedup::CompositeEntityToDoc(e), &out).ok());
+  }
+  return out;
+}
+
+/// dt.fused exactly as stored: its mutation epoch, then every doc id
+/// and encoded doc in id order ("" when the collection is missing).
+std::string FusedDocBytes(const DocumentStore& store) {
+  auto fused = store.GetCollection("fused");
+  if (!fused.ok()) return "";
+  const CollectionView view = (*fused)->GetView();
+  std::string out = std::to_string(view.mutation_epoch());
+  view.ForEach([&](DocId id, const DocValue& doc) {
+    out += "|" + std::to_string(id) + ":";
+    EXPECT_TRUE(EncodeDocValue(doc, &out).ok());
+  });
+  return out;
+}
+
 bool HasCheckpointFile(const std::string& dir) {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return false;
@@ -342,10 +366,13 @@ int RunIngestTrial(int64_t crash_budget, const std::string& tag) {
   auto dt = fusion::DataTamer::Open(IngestOpts(dir.path(), 0));
   EXPECT_TRUE(dt.ok()) << dt.status().ToString();
   if (!dt.ok()) return acked;
+  const uint64_t syncs = (*dt)->durability_stats().wal_syncs;
   auto entities = (*dt)->IngestedEntities();  // reseeds + reconciles
   EXPECT_TRUE(entities.ok()) << entities.status().ToString();
   if (!entities.ok()) return acked;
   EXPECT_FALSE((*dt)->durability_stats().recovery_gap);
+  // Whatever the crash left to repair commits as one batch.
+  EXPECT_LE((*dt)->durability_stats().wal_syncs, syncs + 1);
 
   const std::string probe = dir.path() + "/probe.dtb";
   EXPECT_TRUE((*dt)->SaveSnapshot(probe).ok());
@@ -399,6 +426,27 @@ int RunIngestTrial(int64_t crash_budget, const std::string& tag) {
   std::sort(want.begin(), want.end());
   std::sort(fused.begin(), fused.end());
   EXPECT_EQ(fused, want);
+
+  // Recovery is idempotent: a second reopen finds nothing to repair,
+  // appends nothing, and yields the same entities and dt.fused docs.
+  dt->reset();
+  auto again = fusion::DataTamer::Open(IngestOpts(dir.path(), 0));
+  EXPECT_TRUE(again.ok()) << again.status().ToString();
+  if (!again.ok()) return acked;
+  auto entities_again = (*again)->IngestedEntities();
+  EXPECT_TRUE(entities_again.ok()) << entities_again.status().ToString();
+  if (!entities_again.ok()) return acked;
+  EXPECT_EQ((*again)->durability_stats().wal_appends, 0u);
+  EXPECT_EQ((*again)->ingest_stats().fused_repaired, 0);
+  EXPECT_TRUE(EntitySetBytes(*entities_again) == EntitySetBytes(*entities))
+      << "the entity set changed on the second reopen";
+  const std::string probe_again = dir.path() + "/probe_again.dtb";
+  EXPECT_TRUE((*again)->SaveSnapshot(probe_again).ok());
+  auto store_again = LoadSnapshot(probe_again);
+  EXPECT_TRUE(store_again.ok());
+  if (!store_again.ok()) return acked;
+  EXPECT_TRUE(FusedDocBytes(**store_again) == FusedDocBytes(**store))
+      << "dt.fused changed on the second reopen";
   return acked;
 }
 

@@ -191,6 +191,10 @@ TEST(StreamingConsolidatorTest, SeedEqualsSequentialIngest) {
   EXPECT_EQ(seq.stats().pairs_matched, seeded.stats().pairs_matched);
   EXPECT_EQ(seq.stats().live_blocks, seeded.stats().live_blocks);
   EXPECT_EQ(seq.stats().retired_blocks, seeded.stats().retired_blocks);
+  // Seed expands its own live blocks; they yield the batch candidates.
+  EXPECT_EQ(seeded.stats().candidates_generated,
+            static_cast<int64_t>(
+                GenerateCandidatePairs(records, opts.blocking).size()));
   auto a = seq.Entities();
   auto b = seeded.Entities();
   ASSERT_TRUE(a.ok() && b.ok());

@@ -568,6 +568,39 @@ TEST(WalManagerTest, TornSegmentTailRecoversPrefix) {
   }
 }
 
+TEST(WalManagerTest, TornSegmentHeaderRecoversAgain) {
+  TempPath dir("mgr_torn_header");
+  {
+    std::unique_ptr<DocumentStore> recovered;
+    auto mgr = WalManager::Open(Opts(dir.path()), "dt", &recovered);
+    ASSERT_TRUE(mgr.ok());
+    DocumentStore store("dt");
+    Collection* coll = store.CreateCollection("docs").ValueOrDie();
+    ASSERT_TRUE((*mgr)->Attach(&store).ok());
+    for (int i = 0; i < 10; ++i) {
+      coll->Insert(DocBuilder().Set("i", static_cast<int64_t>(i)).Build());
+    }
+    (*mgr)->DetachAll();
+  }
+  // A crash inside the creation of the next segment: half a header.
+  Spit(dir.path() + "/wal-2.log", "DT");
+  // Every later recovery must still succeed, and what the first one
+  // logs must survive the second.
+  for (int reopen = 1; reopen <= 2; ++reopen) {
+    SCOPED_TRACE("reopen " + std::to_string(reopen));
+    std::unique_ptr<DocumentStore> recovered;
+    auto mgr = WalManager::Open(Opts(dir.path()), "dt", &recovered);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+    ASSERT_NE(recovered, nullptr);
+    Collection* coll = recovered->GetCollection("docs").ValueOrDie();
+    EXPECT_EQ(coll->count(), 9 + reopen);
+    ASSERT_TRUE((*mgr)->Attach(recovered.get()).ok());
+    coll->Insert(DocBuilder().Set("reopen", static_cast<int64_t>(reopen))
+                     .Build());
+    (*mgr)->DetachAll();
+  }
+}
+
 TEST(WalManagerTest, OlderCodecManifestIsCorruption) {
   TempPath dir("mgr_oldcodec");
   {
