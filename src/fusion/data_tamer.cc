@@ -32,6 +32,8 @@ DataTamer::DataTamer(DataTamerOptions opts)
   if (opts_.num_threads != 1 && opts_.snapshot_options.num_threads == 1) {
     opts_.snapshot_options.num_threads = opts_.num_threads;
   }
+  const int threads = ResolveNumThreads(opts_.num_threads);
+  if (threads > 1) worker_pool_ = std::make_unique<ThreadPool>(threads);
   instance_ =
       store_.CreateCollection("instance", opts_.collection_options)
           .ValueOrDie();
@@ -76,12 +78,6 @@ void DataTamer::ReplaceStore(storage::DocumentStore store) {
   stats_ = PipelineStats{};
   stats_.fragments_ingested = instance_->count();
   stats_.entities_extracted = entity_->count();
-  // Drop the lazy full-text index; the next SearchFragments rebuilds
-  // it over the replaced fragments.
-  fragment_index_ = query::InvertedIndex("text");
-  fragments_indexed_ = 0;
-  fragment_index_epoch_ = 0;
-  fragment_index_next_id_ = 0;
   // Streaming-ingest state is derived from the store too: drop it and
   // let the next ingest/search re-seed from the replaced record log.
   record_coll_ = nullptr;
@@ -89,8 +85,6 @@ void DataTamer::ReplaceStore(storage::DocumentStore store) {
   streaming_.reset();
   cluster_doc_.clear();
   ingest_stats_ = IngestStats{};
-  fused_index_ = query::InvertedIndex("text");
-  fused_index_epoch_ = 0;
 }
 
 Status DataTamer::Checkpoint() {
@@ -270,95 +264,61 @@ std::vector<query::CountRow> DataTamer::TopDiscussed(
   return std::move(resp->groups);
 }
 
-ThreadPool* DataTamer::WorkerPool() const {
-  // Guarded lazy init. The facade as a whole is NOT thread-safe (see
-  // the class comment) — this lock only keeps the worst failure mode
-  // of misuse at bay: two racing queries must not construct two pools
-  // into the unique_ptr, destroying one mid-ParallelFor.
-  std::lock_guard<std::mutex> lock(worker_pool_mu_);
-  if (worker_pool_ == nullptr) {
-    int n = ResolveNumThreads(opts_.num_threads);
-    if (n <= 1) return nullptr;
-    worker_pool_ = std::make_unique<ThreadPool>(n);
-  }
-  return worker_pool_.get();
-}
-
-/// The cached pool serves a request for `want` threads only when it is
-/// exactly that wide — a caller asking for any other count keeps its
+/// The facade's pool serves a request for `want` threads only when it
+/// is exactly that wide — a caller asking for any other count keeps its
 /// own transient pool (a set pool wins over num_threads, so attaching
 /// a mismatched one would silently override the request in either
 /// direction).
-bool DataTamer::PoolServes(int want) const {
-  return want > 1 && want == ResolveNumThreads(opts_.num_threads);
+ThreadPool* DataTamer::PoolFor(int num_threads) const {
+  const int want = ResolveNumThreads(num_threads);
+  return want > 1 && want == ResolveNumThreads(opts_.num_threads)
+             ? worker_pool_.get()
+             : nullptr;
 }
 
 storage::SnapshotOptions DataTamer::ResolveSnapshotOptions() const {
   storage::SnapshotOptions opts = opts_.snapshot_options;
-  if (opts.pool == nullptr && PoolServes(ResolveNumThreads(opts.num_threads))) {
-    opts.pool = WorkerPool();
-  }
+  if (opts.pool == nullptr) opts.pool = PoolFor(opts.num_threads);
   return opts;
 }
 
 dedup::ConsolidationOptions DataTamer::ResolveConsolidationOptions() const {
   dedup::ConsolidationOptions opts = opts_.consolidation_options;
-  // Batch and streaming consolidation ride the facade's one cached
+  // Batch and streaming consolidation ride the facade's one shared
   // pool instead of spawning a private pool per call.
-  if (opts.pool == nullptr && PoolServes(ResolveNumThreads(opts.num_threads))) {
-    opts.pool = WorkerPool();
-  }
+  if (opts.pool == nullptr) opts.pool = PoolFor(opts.num_threads);
   return opts;
 }
 
 query::FindOptions DataTamer::ResolveFindOptions(
-    const std::string& collection, query::FindOptions opts) const {
+    query::FindOptions opts) const {
   if (opts_.num_threads != 1 && opts.num_threads == 1) {
     opts.num_threads = opts_.num_threads;
   }
-  // Parallel scans ride the facade's one cached pool instead of
-  // constructing a fresh ThreadPool per query.
-  if (opts.pool == nullptr && PoolServes(ResolveNumThreads(opts.num_threads))) {
-    opts.pool = WorkerPool();
-  }
-  if (opts.text_index == nullptr && collection == "instance") {
-    RefreshFragmentIndex();
-    opts.text_index = &fragment_index_;
-  }
+  // Parallel scans ride the facade's one pool instead of constructing
+  // a fresh ThreadPool per query.
+  if (opts.pool == nullptr) opts.pool = PoolFor(opts.num_threads);
   return opts;
 }
 
 namespace {
 
-/// The serializable projection of a legacy (collection, pred, opts)
-/// call — what the thin wrappers hand to `ExecuteInternal`.
-query::QueryRequest MakeFindRequest(query::QueryOp op,
-                                    const std::string& collection,
-                                    const query::PredicatePtr& pred,
-                                    const query::FindOptions& opts) {
-  query::QueryRequest req;
-  req.op = op;
-  req.collection = collection;
-  req.predicate = pred;
-  req.limit = opts.limit;
-  req.order_by = opts.order_by;
-  req.order_desc = opts.order_desc;
-  req.page_size = opts.page_size;
-  req.resume_token = opts.resume_token;
-  req.use_indexes = opts.use_indexes;
-  req.num_threads = opts.num_threads;
-  return req;
+/// True when `pred` holds a TextContains leaf on `path` anywhere.
+bool MentionsText(const query::PredicatePtr& pred, const std::string& path) {
+  if (pred == nullptr) return false;
+  if (pred->kind() == query::PredicateKind::kTextContains) {
+    return pred->path() == path;
+  }
+  for (const query::PredicatePtr& child : pred->children()) {
+    if (MentionsText(child, path)) return true;
+  }
+  return false;
 }
 
 }  // namespace
 
 Result<query::QueryResponse> DataTamer::Execute(
     const query::QueryRequest& req) const {
-  return ExecuteInternal(req, query::FindOptions{});
-}
-
-Result<query::QueryResponse> DataTamer::ExecuteInternal(
-    const query::QueryRequest& req, query::FindOptions opts) const {
   if (req.op == query::QueryOp::kIngest) {
     // Reads never mutate: the const surface rejects the mutating op
     // instead of silently executing it (read-only servers rely on
@@ -379,10 +339,7 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
       req.k < 0) {
     return Status::InvalidArgument("negative k " + std::to_string(req.k));
   }
-  // The request's serializable knobs overlay the base options; the
-  // process-local members (pool, text index, stats out-param) stay
-  // whatever the wrapper supplied and resolve below exactly as the
-  // legacy entry points did.
+  query::FindOptions opts;
   opts.limit = req.limit;
   opts.order_by = req.order_by;
   opts.order_desc = req.order_desc;
@@ -392,7 +349,6 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
   opts.num_threads =
       req.num_threads == 0 ? budget : static_cast<int>(req.num_threads);
   query::ExecStats exec_stats;
-  query::ExecStats* caller_stats = opts.stats;
   opts.stats = &exec_stats;
 
   const std::string coll_name = req.op == query::QueryOp::kTopDiscussed
@@ -400,10 +356,16 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
                                     : req.collection;
   DT_ASSIGN_OR_RETURN(const storage::Collection* coll,
                       store_.GetCollection(coll_name));
-  opts = ResolveFindOptions(coll_name, std::move(opts));
+  opts = ResolveFindOptions(std::move(opts));
   // One version handle per request: the whole execution sees one
-  // immutable storage version however the collection mutates.
-  const storage::CollectionView view = coll->GetView();
+  // immutable storage version however the collection mutates. A
+  // fragment keyword read pins a version carrying the text index
+  // (built on first use), so TEXT plans and resumed pages read the
+  // postings of exactly that version.
+  const storage::CollectionView view =
+      coll_name == "instance" && MentionsText(req.predicate, "text")
+          ? coll->GetViewWithTextIndex("text")
+          : coll->GetView();
 
   query::QueryResponse resp;
   switch (req.op) {
@@ -452,38 +414,7 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
       break;  // rejected above
   }
   resp.stats = exec_stats;
-  if (caller_stats != nullptr) *caller_stats = exec_stats;
   return resp;
-}
-
-Result<std::vector<storage::DocId>> DataTamer::Find(
-    const std::string& collection, const query::PredicatePtr& pred,
-    query::FindOptions opts) const {
-  query::QueryRequest req =
-      MakeFindRequest(query::QueryOp::kFind, collection, pred, opts);
-  DT_ASSIGN_OR_RETURN(query::QueryResponse resp,
-                      ExecuteInternal(req, std::move(opts)));
-  return std::move(resp.ids);
-}
-
-Result<query::FindResult> DataTamer::FindPage(
-    const std::string& collection, const query::PredicatePtr& pred,
-    query::FindOptions opts) const {
-  query::QueryRequest req =
-      MakeFindRequest(query::QueryOp::kFindPage, collection, pred, opts);
-  DT_ASSIGN_OR_RETURN(query::QueryResponse resp,
-                      ExecuteInternal(req, std::move(opts)));
-  return query::FindResult{std::move(resp.ids), std::move(resp.next_token)};
-}
-
-Result<std::string> DataTamer::Explain(const std::string& collection,
-                                       const query::PredicatePtr& pred,
-                                       query::FindOptions opts) const {
-  query::QueryRequest req =
-      MakeFindRequest(query::QueryOp::kExplain, collection, pred, opts);
-  DT_ASSIGN_OR_RETURN(query::QueryResponse resp,
-                      ExecuteInternal(req, std::move(opts)));
-  return std::move(resp.explain);
 }
 
 namespace {
@@ -537,7 +468,7 @@ std::vector<dedup::DedupRecord> DataTamer::CollectRecords(
   auto type_ids =
       query::Find(entities, query::Predicate::Eq("type",
                                                  DocValue::Str(entity_type)),
-                  ResolveFindOptions("entity", {}));
+                  ResolveFindOptions({}));
   RethrowIfError(type_ids.status());  // scan bodies cannot fail short of OOM
   for (storage::DocId id : *type_ids) {
     const DocValue* doc = entities.Get(id);
@@ -652,57 +583,10 @@ Status DataTamer::LoadSnapshot(const std::string& path) {
   return Status::OK();
 }
 
-void DataTamer::RefreshFragmentIndex() const {
-  // Staleness is judged by the collection's mutation epoch, not the
-  // doc count: count-neutral churn (remove one + append one) and
-  // in-place updates must invalidate too. One view supplies epoch,
-  // count, scan and next_id, so the watermark bookkeeping can never
-  // mix state from two different storage versions.
-  storage::CollectionView view = instance_->GetView();
-  const uint64_t epoch = view.mutation_epoch();
-  if (epoch == fragment_index_epoch_) return;
-  const int64_t total = view.count();
-  const uint64_t delta = epoch - fragment_index_epoch_;
-  // The common case is pure append (fragments only ever arrive
-  // through IngestTextFragment, with monotonically growing ids):
-  // exactly one mutation per fresh doc past the watermark, and the
-  // pre-watermark population intact. Then the new fragments apply as
-  // Add deltas instead of rebuilding the whole index.
-  std::vector<std::pair<storage::DocId, const storage::DocValue*>> fresh;
-  auto cursor = view.ScanDocs();
-  if (fragment_index_next_id_ > 0) {
-    cursor.SeekAfter(fragment_index_next_id_ - 1);
-  }
-  storage::DocId id;
-  const storage::DocValue* doc;
-  while (cursor.Next(&id, &doc)) fresh.emplace_back(id, doc);
-  const bool pure_append =
-      delta == fresh.size() &&
-      fragments_indexed_ + static_cast<int64_t>(fresh.size()) == total;
-  if (pure_append) {
-    for (const auto& [fid, fdoc] : fresh) {
-      // Extract via the index's own field path, exactly as Build does.
-      const storage::DocValue* text =
-          fdoc->FindPath(fragment_index_.field_path());
-      if (text != nullptr && text->is_string()) {
-        fragment_index_.Add(fid, text->string_value());
-      }
-    }
-  } else {
-    // Removal, update or mixed churn: postings may reference dead or
-    // rewritten documents, so fall back to a full rebuild.
-    fragment_index_ = query::InvertedIndex("text");
-    (void)fragment_index_.Build(view);
-  }
-  fragments_indexed_ = total;
-  fragment_index_epoch_ = epoch;
-  fragment_index_next_id_ = view.next_id();
-}
-
-std::vector<query::SearchHit> DataTamer::SearchFragments(
+std::vector<storage::SearchHit> DataTamer::SearchFragments(
     std::string_view keywords, int k) const {
-  RefreshFragmentIndex();
-  return fragment_index_.Search(keywords, k);
+  const storage::CollectionView view = instance_->GetViewWithTextIndex("text");
+  return view.TextIndexOn("text")->Search(keywords, k);
 }
 
 Result<std::vector<dedup::CompositeEntity>> DataTamer::ConsolidateAll(
@@ -717,7 +601,7 @@ namespace {
 
 /// Deterministic searchable rendering of a composite entity: its field
 /// values in field-name order (includes the name). What dt.fused's
-/// "text" carries and the entity index tokenizes.
+/// "text" carries and its text index tokenizes.
 std::string FusedText(const dedup::CompositeEntity& entity) {
   std::string text;
   for (const auto& [field, value] : entity.fields) {
@@ -831,21 +715,7 @@ Status DataTamer::ReconcileFusedDocs() {
     if (cluster_doc_.count(key) > 0) continue;
     cluster_doc_[key] = fused_coll_->Insert(std::move(doc));
   }
-  // Index over the reconciled docs.
-  const storage::CollectionView fused = fused_coll_->GetView();
-  fused_index_ = query::InvertedIndex("text");
-  (void)fused_index_.Build(fused);
-  fused_index_epoch_ = fused.mutation_epoch();
   return Status::OK();
-}
-
-void DataTamer::UnindexFusedDoc(storage::DocId id) {
-  const storage::CollectionView fused = fused_coll_->GetView();
-  const DocValue* old = fused.Get(id);
-  const DocValue* text = old != nullptr ? old->Find("text") : nullptr;
-  if (text != nullptr && text->is_string()) {
-    fused_index_.Remove(id, text->string_value());
-  }
 }
 
 Status DataTamer::ApplyClusterDelta(
@@ -855,34 +725,20 @@ Status DataTamer::ApplyClusterDelta(
     // Keys the engine merged away within a single ingest (e.g. the new
     // record's transient singleton) never had a doc; skip them.
     if (it == cluster_doc_.end()) continue;
-    UnindexFusedDoc(it->second);
     DT_RETURN_NOT_OK(fused_coll_->Remove(it->second));
     cluster_doc_.erase(it);
     ++ingest_stats_.clusters_removed;
   }
   for (size_t key : delta.upserted) {
     DocValue doc = FusedEntityDoc(key);
-    const DocValue* new_text = doc.Find("text");
     auto it = cluster_doc_.find(key);
     if (it != cluster_doc_.end()) {
-      UnindexFusedDoc(it->second);
-      if (new_text != nullptr && new_text->is_string()) {
-        fused_index_.Add(it->second, new_text->string_value());
-      }
       DT_RETURN_NOT_OK(fused_coll_->Update(it->second, std::move(doc)));
     } else {
-      // Index after Insert so the posting carries the assigned id.
-      std::string text_copy;
-      if (new_text != nullptr && new_text->is_string()) {
-        text_copy = new_text->string_value();
-      }
-      storage::DocId id = fused_coll_->Insert(std::move(doc));
-      cluster_doc_[key] = id;
-      fused_index_.Add(id, text_copy);
+      cluster_doc_[key] = fused_coll_->Insert(std::move(doc));
     }
     ++ingest_stats_.clusters_upserted;
   }
-  fused_index_epoch_ = fused_coll_->mutation_epoch();
   return Status::OK();
 }
 
@@ -942,20 +798,12 @@ Result<query::QueryResponse> DataTamer::ExecuteMutable(
   return resp;
 }
 
-std::vector<query::SearchHit> DataTamer::SearchEntities(
+std::vector<storage::SearchHit> DataTamer::SearchEntities(
     std::string_view keywords, int k) const {
   Result<const storage::Collection*> coll = store_.GetCollection("fused");
   if (!coll.ok()) return {};  // nothing ingested yet
-  // The ingest path maintains the index eagerly; a mismatched epoch
-  // means dt.fused mutated out of band (snapshot surgery, direct
-  // writes), so fall back to a rebuild.
-  const storage::CollectionView fused = (*coll)->GetView();
-  if (fused.mutation_epoch() != fused_index_epoch_) {
-    fused_index_ = query::InvertedIndex("text");
-    (void)fused_index_.Build(fused);
-    fused_index_epoch_ = fused.mutation_epoch();
-  }
-  return fused_index_.Search(keywords, k);
+  const storage::CollectionView fused = (*coll)->GetViewWithTextIndex("text");
+  return fused.TextIndexOn("text")->Search(keywords, k);
 }
 
 Result<std::vector<dedup::CompositeEntity>> DataTamer::IngestedEntities() {

@@ -12,7 +12,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,11 +27,11 @@
 #include "match/synonyms.h"
 #include "query/query.h"
 #include "query/request.h"
-#include "query/text_search.h"
 #include "relational/catalog.h"
 #include "storage/document_store.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
+#include "storage/inverted_index.h"
 #include "textparse/domain_parser.h"
 
 namespace dt::fusion {
@@ -121,12 +120,19 @@ struct PipelineStats {
 
 /// \brief The end-to-end system.
 ///
-/// Not thread-safe, including the const query surface: `Find` /
-/// `SearchFragments` lazily (re)build the fragment text index and the
-/// worker pool, and executions bump the collections' observational
-/// scan counters. Serialize access externally to share one facade
-/// across threads (parallelism *inside* one call is what
-/// `DataTamerOptions::num_threads` provides).
+/// The const read surface keeps no lazy state of its own: text indexes
+/// live in the collections' storage versions (built on a collection's
+/// first text read, published under that collection's writer mutex),
+/// the worker pool is built by the constructor, and the scan counters
+/// are atomics. What still needs external serialization: every
+/// non-const call (ingest, `LoadSnapshot`, `SetGazetteer`,
+/// `CreateStandardIndexes`, `Checkpoint`, ...) against every other
+/// call, const ones included, because it creates or replaces
+/// collections and facade members the reads dereference. Concurrent
+/// const calls share only the collections and the pool, but no test
+/// covers them yet, so `DtServer` still runs reads one at a time.
+/// (Parallelism *inside* one call is what
+/// `DataTamerOptions::num_threads` provides.)
 class DataTamer {
  public:
   explicit DataTamer(DataTamerOptions opts = {});
@@ -221,10 +227,10 @@ class DataTamer {
   /// \brief Keyword search over the *fused* composite entities
   /// maintained by streaming ingest (conjunctive TF-IDF like
   /// `SearchFragments`, over each entity's synthesized text). The
-  /// entity-side index is maintained as add/remove deltas by the
-  /// ingest path itself — no rebuild per query.
-  std::vector<query::SearchHit> SearchEntities(std::string_view keywords,
-                                               int k = 10) const;
+  /// first call builds dt.fused's text index; the collection's writes
+  /// maintain it from then on (no rebuild per query).
+  std::vector<storage::SearchHit> SearchEntities(std::string_view keywords,
+                                                 int k = 10) const;
 
   /// \brief The full entity set of the streaming consolidator, dense
   /// cluster ids in batch order — byte-identical to
@@ -238,10 +244,14 @@ class DataTamer {
 
   /// \brief The unified query entry point: dispatches a serializable
   /// `QueryRequest` (kFind / kFindPage / kExplain / kCount / kTopK /
-  /// kTopDiscussed) and returns the serializable response. This is
-  /// what the RPC server executes — a request decoded off the wire
-  /// runs byte-identically to the in-process call — and every legacy
-  /// query signature below is now a thin wrapper over it. A request
+  /// kTopDiscussed) and returns the serializable response, whose
+  /// `stats` report what the execution touched. This is what the RPC
+  /// server executes — a request decoded off the wire runs
+  /// byte-identically to the in-process call. Reads route through the
+  /// cost-aware planner (secondary indexes including compound ones,
+  /// sort/limit push-down, parallel scan fallback on the facade's one
+  /// pool); a TextContains on dt.instance's "text" builds that
+  /// collection's text index on first use and rides it. A request
   /// asking for more scan threads than the facade's budget
   /// (`options().num_threads`, resolved), for a negative thread count
   /// or for a negative `k` is kInvalidArgument; `num_threads` 0 means
@@ -256,41 +266,6 @@ class DataTamer {
                                             int64_t k,
                                             bool award_winning_only) const;
 
-  /// \brief Structured predicate query against a collection of the
-  /// store ("instance", "entity", ...): ids of exactly the documents
-  /// matching `pred` — in `opts.order_by` order with `opts.limit`
-  /// honored inside execution (ascending ids when unordered) — routed
-  /// through the cost-aware planner (secondary indexes including
-  /// compound ones, sort/limit push-down, the full-text index for
-  /// TextContains on instance text, parallel scan fallback).
-  /// `opts.num_threads` inherits the facade-level knob unless set away
-  /// from its default; parallel scans ride the facade's one cached
-  /// thread pool; `opts.text_index` is wired to the fragment index
-  /// automatically for the instance collection.
-  Result<std::vector<storage::DocId>> Find(const std::string& collection,
-                                           const query::PredicatePtr& pred,
-                                           query::FindOptions opts = {}) const;
-
-  /// \brief Resumable page of `Find`: at most `opts.page_size` ids plus
-  /// the opaque token that continues the stream
-  /// (`FindResult::next_token`, empty when exhausted). Pass the token
-  /// back via `opts.resume_token` to fetch the next page; stitched
-  /// pages are byte-identical to the one-shot `Find`. Tokens are
-  /// rejected with `kInvalidArgument` when tampered with, when the
-  /// collection mutated since they were minted, or when the query
-  /// (predicate, order, limit, index set) no longer plans identically.
-  Result<query::FindResult> FindPage(const std::string& collection,
-                                     const query::PredicatePtr& pred,
-                                     query::FindOptions opts = {}) const;
-
-  /// \brief The access path `Find` would take, rendered for humans
-  /// (e.g. `IXSCAN { name == "Matilda" } est=12`). Pair with the
-  /// `indexScans`/`collScans` counters in `Collection::Stats()` to see
-  /// what the planner actually did.
-  Result<std::string> Explain(const std::string& collection,
-                              const query::PredicatePtr& pred,
-                              query::FindOptions opts = {}) const;
-
   /// \brief Point query on the fused data: all information known about
   /// the named entity, as a two-column (ATTRIBUTE, VALUE) table.
   ///
@@ -303,10 +278,10 @@ class DataTamer {
 
   /// \brief Keyword search over the ingested text fragments (how the
   /// §V user explores WEBINSTANCE before knowing entity names).
-  /// Conjunctive TF-IDF ranking; the inverted index is built lazily and
-  /// refreshed when new fragments have arrived since the last search.
-  std::vector<query::SearchHit> SearchFragments(std::string_view keywords,
-                                                int k = 10) const;
+  /// Conjunctive TF-IDF ranking over dt.instance's text index, which
+  /// the first text read builds and the collection's writes maintain.
+  std::vector<storage::SearchHit> SearchFragments(std::string_view keywords,
+                                                  int k = 10) const;
 
   /// \brief Consolidates all structured rows plus text entities of
   /// `entity_type` into composite entities (the full entity-
@@ -374,26 +349,15 @@ class DataTamer {
   std::vector<dedup::DedupRecord> CollectRecords(
       const std::string& entity_type, const std::string& name) const;
 
-  /// Brings the lazy fragment text index up to date: fragments that
-  /// arrived since the last refresh are applied as Add deltas
-  /// (appends are the common case — ids grow monotonically), and only
-  /// removals (or a snapshot replacing the store) force a full
-  /// rebuild.
-  void RefreshFragmentIndex() const;
+  /// The facade's pool when it can serve a `num_threads` request
+  /// (resolved as `ResolveNumThreads` does), else null: the caller then
+  /// builds its own, as a per-call option asks.
+  ThreadPool* PoolFor(int num_threads) const;
 
-  /// \brief The facade's one lazily-constructed worker pool (sized by
-  /// `options().num_threads`), shared by parallel query scans and
-  /// snapshot encode/decode instead of constructing a pool per call.
-  /// Null when the facade runs single-threaded.
-  ThreadPool* WorkerPool() const;
-
-  /// True when the cached pool can serve a `want`-thread request.
-  bool PoolServes(int want) const;
-
-  /// `options().snapshot_options` with the cached pool attached.
+  /// `options().snapshot_options` with the facade's pool attached.
   storage::SnapshotOptions ResolveSnapshotOptions() const;
 
-  /// `options().consolidation_options` with the cached pool attached
+  /// `options().consolidation_options` with the facade's pool attached
   /// (the batch and streaming engines both run on the facade's one
   /// shared pool instead of constructing a pool per call).
   dedup::ConsolidationOptions ResolveConsolidationOptions() const;
@@ -409,25 +373,19 @@ class DataTamer {
   Status EnsureStreaming();
 
   /// Applies one ingest delta to dt.fused: removed cluster keys drop
-  /// their docs, upserted keys re-merge and insert/update, and the
-  /// entity text index tracks every mutation as add/remove deltas.
+  /// their docs, upserted keys re-merge and insert/update (a text index
+  /// on dt.fused, once built, follows these writes in storage).
   Status ApplyClusterDelta(
       const dedup::StreamingConsolidator::IngestDelta& delta);
 
-  /// Drops fused doc `id`'s current text from the entity text index
-  /// (before the doc is removed or rewritten). The view it reads
-  /// through is released on return, so the mutation that follows
-  /// still runs in place.
-  void UnindexFusedDoc(storage::DocId id);
-
-  /// Rebuilds the cluster-key -> DocId map and the entity text index
-  /// from the consolidator + the persisted fused docs, repairing any
-  /// divergence (the record log wins). Docs that already match are
-  /// left untouched, so a clean reopen mutates nothing.
+  /// Rebuilds the cluster-key -> DocId map from the consolidator + the
+  /// persisted fused docs, repairing any divergence (the record log
+  /// wins). Docs that already match are left untouched, so a clean
+  /// reopen mutates nothing.
   Status ReconcileFusedDocs();
 
   /// The fused doc for one cluster: the composite entity encoding plus
-  /// the synthesized "text" field the entity index serves.
+  /// the synthesized "text" field `SearchEntities` indexes.
   storage::DocValue FusedEntityDoc(size_t cluster_key) const;
 
   /// Installs `store` as the facade's document store (recovery and
@@ -436,20 +394,9 @@ class DataTamer {
   /// piece of derived state to reflect exactly the replaced store.
   void ReplaceStore(storage::DocumentStore store);
 
-  /// Shared Find/Explain option normalization: facade thread-knob
-  /// inheritance and fragment-index wiring for the instance
-  /// collection. Keeps the rendered plan and the execution in
-  /// lockstep.
-  query::FindOptions ResolveFindOptions(const std::string& collection,
-                                        query::FindOptions opts) const;
-
-  /// `Execute` with a caller-supplied base `FindOptions`: the legacy
-  /// wrappers route their options object through so process-local
-  /// members a request cannot carry (the `stats` out-param, an
-  /// explicitly wired text index or pool) keep working. The request's
-  /// serializable knobs overlay the base before resolution.
-  Result<query::QueryResponse> ExecuteInternal(const query::QueryRequest& req,
-                                               query::FindOptions opts) const;
+  /// Facade-side `FindOptions` resolution: thread-knob inheritance
+  /// and the shared pool.
+  query::FindOptions ResolveFindOptions(query::FindOptions opts) const;
 
   relational::Table ApplyIngestTransforms(relational::Table table);
 
@@ -476,24 +423,10 @@ class DataTamer {
   std::unique_ptr<dedup::StreamingConsolidator> streaming_;
   std::map<size_t, storage::DocId> cluster_doc_;
   IngestStats ingest_stats_;
-  // Entity-side text index: maintained eagerly as add/remove deltas by
-  // ApplyClusterDelta; the epoch detects out-of-band fused mutations
-  // (then SearchEntities falls back to a rebuild).
-  mutable query::InvertedIndex fused_index_{"text"};
-  mutable uint64_t fused_index_epoch_ = 0;
-  // Lazily built full-text index over dt.instance (see SearchFragments
-  // and RefreshFragmentIndex): the doc count and mutation epoch it
-  // reflects plus the id watermark separating indexed fragments from
-  // append deltas.
-  mutable query::InvertedIndex fragment_index_{"text"};
-  mutable int64_t fragments_indexed_ = 0;
-  mutable uint64_t fragment_index_epoch_ = 0;
-  mutable storage::DocId fragment_index_next_id_ = 0;
-  // One pool for every parallel scan/snapshot this facade runs (see
-  // WorkerPool); constructed on first use, never per operation. The
-  // mutex guards the lazy init against concurrent const queries.
-  mutable std::mutex worker_pool_mu_;
-  mutable std::unique_ptr<ThreadPool> worker_pool_;
+  // One pool for every parallel scan, snapshot and consolidation this
+  // facade runs, built by the constructor when `num_threads` resolves
+  // above 1 (null otherwise); never built per operation.
+  std::unique_ptr<ThreadPool> worker_pool_;
   // Declared after store_ so destruction detaches the WAL observers
   // (and flushes the log) while the collections are still alive.
   std::unique_ptr<storage::WalManager> wal_manager_;

@@ -141,16 +141,16 @@ bool MatchIndex(const SecondaryIndex& idx,
   return true;
 }
 
-/// Probes the text index for a TextContains child.
-bool MatchText(const PredicatePtr& p, size_t child_index,
-               const FindOptions& opts, Candidate* out) {
+/// Probes the view's text index for a TextContains child.
+bool MatchText(const CollectionView& coll, const PredicatePtr& p,
+               size_t child_index, Candidate* out) {
   if (p->kind() != PredicateKind::kTextContains) return false;
-  if (opts.text_index == nullptr || p->tokens().empty()) return false;
-  if (opts.text_index->field_path() != p->path()) return false;
+  const storage::InvertedIndex* text = coll.TextIndexOn(p->path());
+  if (text == nullptr || p->tokens().empty()) return false;
   // Conjunctive: the rarest term bounds the result size.
   int64_t best = std::numeric_limits<int64_t>::max();
   for (const auto& tok : p->tokens()) {
-    best = std::min(best, opts.text_index->DocFrequency(tok));
+    best = std::min(best, text->DocFrequency(tok));
   }
   out->access = AccessPath::kTextIndex;
   out->covered_children.push_back(child_index);
@@ -210,7 +210,7 @@ QueryPlan PlanConjunction(const CollectionView& coll, const PredicatePtr& pred,
   }
   for (size_t j = 0; j < children.size(); ++j) {
     Candidate cand;
-    if (!MatchText(children[j], j, opts, &cand)) continue;
+    if (!MatchText(coll, children[j], j, &cand)) continue;
     if (!found || BetterCandidate(cand, best, opts)) {
       best = std::move(cand);
       found = true;
@@ -664,19 +664,22 @@ Result<std::unique_ptr<IxScanCursor>> BuildIxScan(
   return std::make_unique<IxScanCursor>(view, scan, shape.run_len, stats);
 }
 
-/// Postings intersection for a TEXT access: smallest list first, all
-/// lists sorted ascending by id (so the result is too).
-Result<CursorPtr> BuildTextCursor(const QueryPlan& plan,
-                                  const FindOptions& opts, ExecStats* stats,
+/// Postings intersection for a TEXT access over the view's own index
+/// (so a resumed page reads the postings of the version its token
+/// pinned): smallest list first, all lists sorted ascending by id (so
+/// the result is too).
+Result<CursorPtr> BuildTextCursor(const CollectionView& view,
+                                  const QueryPlan& plan, ExecStats* stats,
                                   DocId after_id) {
   const Predicate& driver = *plan.driver;
-  if (opts.text_index == nullptr) {
+  const storage::InvertedIndex* text = view.TextIndexOn(driver.path());
+  if (text == nullptr) {
     return Status::Internal("TEXT plan without a text index");
   }
   std::vector<std::vector<DocId>> lists;
   lists.reserve(driver.tokens().size());
   for (const auto& tok : driver.tokens()) {
-    lists.push_back(opts.text_index->Postings(tok));
+    lists.push_back(text->Postings(tok));
     if (stats != nullptr) {
       stats->index_entries_examined +=
           static_cast<int64_t>(lists.back().size());
@@ -848,7 +851,7 @@ Result<CursorPtr> BuildAccessCursor(const CollectionView& coll,
       if (ckpt != nullptr) {
         DT_ASSIGN_OR_RETURN(after_id, CkptWatermark(*ckpt, "V"));
       }
-      return BuildTextCursor(plan, opts, stats, after_id);
+      return BuildTextCursor(coll, plan, stats, after_id);
     }
     case AccessPath::kUnion: {
       DocId after_id = 0;

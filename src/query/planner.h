@@ -10,8 +10,9 @@
 ///                children bind leading components, one range child
 ///                binds the next, and an `order_by` on the following
 ///                component rides the scan order (sort push-down).
-///   TEXT         TextContains predicates via `InvertedIndex` postings
-///                intersection (smallest posting list first).
+///   TEXT         TextContains predicates via the postings of the
+///                view's own `InvertedIndex` (smallest list first);
+///                a view without one on the path plans COLLSCAN.
 ///   UNION        Or whose branches are all individually
 ///                index-routable (ascending-id streaming merge).
 ///   MERGE_UNION  Or under an `order_by` all of whose branches are
@@ -49,7 +50,6 @@
 #include "common/status.h"
 #include "query/executor.h"
 #include "query/predicate.h"
-#include "query/text_search.h"
 #include "storage/collection.h"
 
 namespace dt::query {
@@ -74,10 +74,6 @@ struct FindOptions {
   std::string order_by;
   /// Flips the `order_by` key comparison (ties stay ascending by id).
   bool order_desc = false;
-  /// Inverted index serving TextContains predicates. Only consulted
-  /// when its `field_path()` matches the predicate's path; the caller
-  /// is responsible for it being current w.r.t. the collection.
-  const InvertedIndex* text_index = nullptr;
   /// Planner escape hatch: false forces COLLSCAN (differential tests;
   /// measuring raw scan cost).
   bool use_indexes = true;

@@ -1,16 +1,17 @@
 /// \file request.h
-/// \brief The unified serializable query surface: one request/response
-/// pair that every facade query entry point (`Find`, `FindPage`,
-/// `Explain`, `CountByField`, `TopKByCount`, `TopDiscussed`) marshals
-/// through.
+/// \brief The unified serializable query surface: the one
+/// request/response pair the facade's read entry point
+/// (`DataTamer::Execute`: find, page, explain, count, top-k,
+/// top-discussed) takes and returns.
 ///
 /// `QueryRequest`/`QueryResponse` encode to/from `DocValue`, so the
 /// wire protocol (src/server/) ships exactly what the in-process API
 /// accepts: a request captured off the wire replays byte-identically
 /// through `DataTamer::Execute`. Only the *serializable* execution
 /// knobs ride here — process-local `FindOptions` members (the borrowed
-/// thread pool, the text index pointer, the stats out-param) are
-/// resolved by the executing facade, never marshalled.
+/// thread pool, the stats out-param) are resolved by the executing
+/// facade, never marshalled; what the execution touched comes back as
+/// `QueryResponse::stats`.
 
 #pragma once
 

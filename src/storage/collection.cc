@@ -34,6 +34,7 @@ StorageVersion::StorageVersion(const StorageVersion& other)
       chunks(other.chunks),
       shards(other.shards),
       indexes(other.indexes),
+      inverted_index(other.inverted_index),
       data_size(other.data_size),
       doc_count(other.doc_count),
       epoch(other.epoch),
@@ -83,6 +84,13 @@ const SecondaryIndex* StorageVersion::IndexOn(
   return nullptr;
 }
 
+const InvertedIndex* StorageVersion::TextIndexOn(
+    const std::string& field_path) const {
+  if (inverted_index == nullptr) return nullptr;
+  return inverted_index->field_path() == field_path ? inverted_index.get()
+                                                    : nullptr;
+}
+
 DocChunk* StorageVersion::MutableChunk(size_t i) {
   if (chunks[i].use_count() != 1) {
     chunks[i] = std::make_shared<DocChunk>(*chunks[i]);
@@ -95,6 +103,13 @@ SecondaryIndex* StorageVersion::MutableIndex(size_t i) {
     indexes[i] = std::make_shared<SecondaryIndex>(*indexes[i]);
   }
   return indexes[i].get();
+}
+
+InvertedIndex* StorageVersion::MutableTextIndex() {
+  if (inverted_index.use_count() != 1) {
+    inverted_index = std::make_shared<InvertedIndex>(*inverted_index);
+  }
+  return inverted_index.get();
 }
 
 void StorageVersion::InsertDocSorted(DocId id, DocValue doc) {
@@ -182,7 +197,58 @@ void CollectionShared::TrimRetainedLocked() {
   }
 }
 
+void CollectionShared::Mutate(const std::function<void(StorageVersion&)>& fn,
+                              bool bump_epoch) {
+  std::unique_lock<std::mutex> vlock(version_mu);
+  if (published.use_count() == 1) {
+    // No view, cursor or retained entry can reach this version, and
+    // none can be acquired while we hold version_mu: mutate in place
+    // (granules shared with older versions still get cloned). Readers
+    // drop their references under version_mu too, so their reads are
+    // ordered before these writes.
+    StorageVersion& v = *published;
+    fn(v);
+    if (bump_epoch) ++v.epoch;
+    v.version_id = rng.Next();
+    TrimRetainedLocked();
+    vlock.unlock();
+  } else {
+    std::shared_ptr<const StorageVersion> base = published;
+    vlock.unlock();
+    // Copy-on-write off the lock: readers keep traversing `base`
+    // while the successor is assembled against shared granules.
+    auto next = std::make_shared<StorageVersion>(*base);
+    fn(*next);
+    if (bump_epoch) ++next->epoch;
+    next->version_id = rng.Next();
+    vlock.lock();
+    published = std::move(next);
+    TrimRetainedLocked();
+    base.reset();
+    vlock.unlock();
+  }
+  epochs.Reclaim();
+}
+
+VersionPin::~VersionPin() {
+  {
+    std::lock_guard<std::mutex> lock(state->version_mu);
+    core.reset();
+  }
+  state->epochs.Unpin(epoch);
+}
+
 namespace {
+
+/// Pins `core` for a reader. Requires version_mu, so the reference is
+/// taken under the same mutex every other one is dropped under.
+std::shared_ptr<const VersionPin> PinLocked(
+    const std::shared_ptr<CollectionShared>& st,
+    std::shared_ptr<const StorageVersion> core) {
+  const uint64_t epoch = core->epoch;
+  st->epochs.Pin(epoch);
+  return std::make_shared<const VersionPin>(st, std::move(core), epoch);
+}
 
 /// Non-deterministic writer-RNG seed: collection identity (version
 /// ids, incarnations) must differ across processes, unlike the
@@ -203,62 +269,48 @@ uint64_t EntropySeed() {
 
 std::vector<const SecondaryIndex*> CollectionView::Indexes() const {
   std::vector<const SecondaryIndex*> out;
-  out.reserve(core_->indexes.size());
-  for (const auto& idx : core_->indexes) out.push_back(idx.get());
+  out.reserve(core().indexes.size());
+  for (const auto& idx : core().indexes) out.push_back(idx.get());
   return out;
 }
 
 std::vector<std::vector<std::string>> CollectionView::IndexSpecs() const {
   std::vector<std::vector<std::string>> out;
-  for (const auto& idx : core_->indexes) {
+  for (const auto& idx : core().indexes) {
     if (idx->field_path() != "_id") out.push_back(idx->field_paths());
   }
   return out;
 }
 
 void CollectionView::RetainForResume() const {
-  internal::CollectionShared& st = *state_;
+  internal::CollectionShared& st = *pin_->state;
   std::lock_guard<std::mutex> lock(st.version_mu);
-  if (core_->in_retained) return;
-  core_->in_retained = true;
-  st.retained.push_back(core_);
+  if (core().in_retained) return;
+  core().in_retained = true;
+  st.retained.push_back(pin_->core);
 }
 
 Result<CollectionView> CollectionView::At(uint64_t version_id) const {
-  if (version_id == core_->version_id) return *this;
-  internal::CollectionShared& st = *state_;
-  std::shared_ptr<const internal::StorageVersion> found;
-  uint64_t epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(st.version_mu);
-    if (st.published->version_id == version_id) {
-      found = st.published;
-    } else {
-      for (const auto& v : st.retained) {
-        if (v->version_id == version_id) {
-          found = v;
-          break;
-        }
-      }
-    }
-    if (found != nullptr) {
-      epoch = found->epoch;
-      st.epochs.Pin(epoch);
+  if (version_id == core().version_id) return *this;
+  const std::shared_ptr<internal::CollectionShared>& st = pin_->state;
+  std::lock_guard<std::mutex> lock(st->version_mu);
+  if (st->published->version_id == version_id) {
+    return CollectionView(internal::PinLocked(st, st->published));
+  }
+  for (const auto& v : st->retained) {
+    if (v->version_id == version_id) {
+      return CollectionView(internal::PinLocked(st, v));
     }
   }
-  if (found == nullptr) {
-    return Status::InvalidArgument(
-        "stale resume token: the version of " + core_->ns +
-        " it was minted against is no longer retained");
-  }
-  auto pin = std::make_shared<const internal::VersionPin>(state_, epoch);
-  return CollectionView(state_, std::move(found), std::move(pin));
+  return Status::InvalidArgument(
+      "stale resume token: the version of " + core().ns +
+      " it was minted against is no longer retained");
 }
 
 // ---- DocCursor ----
 
 bool DocCursor::Next(DocId* id, const DocValue** doc) {
-  const auto& chunks = core_->chunks;
+  const auto& chunks = pin_->core->chunks;
   while (chunk_ < chunks.size()) {
     const auto& docs = chunks[chunk_]->docs;
     if (pos_ < docs.size()) {
@@ -277,8 +329,8 @@ void DocCursor::SeekAfter(DocId id) {
   // Land on the chunk that would hold `id`, then take the first
   // element strictly greater (spilling into the next chunk when `id`
   // was that chunk's last element).
-  const auto& chunks = core_->chunks;
-  chunk_ = core_->ChunkLowerBound(id);
+  const auto& chunks = pin_->core->chunks;
+  chunk_ = pin_->core->ChunkLowerBound(id);
   pos_ = 0;
   if (chunk_ >= chunks.size()) return;
   const auto& docs = chunks[chunk_]->docs;
@@ -315,56 +367,27 @@ Collection::Collection(std::string ns, CollectionOptions opts)
   st.published = std::move(v);
 }
 
-std::shared_ptr<const internal::StorageVersion> Collection::CurrentCore()
-    const {
-  std::lock_guard<std::mutex> lock(state_->version_mu);
-  return state_->published;
-}
-
 CollectionView Collection::GetView() const {
-  internal::CollectionShared& st = *state_;
-  std::shared_ptr<const internal::StorageVersion> core;
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(st.version_mu);
-    core = st.published;
-    epoch = core->epoch;
-    st.epochs.Pin(epoch);
-  }
-  auto pin = std::make_shared<const internal::VersionPin>(state_, epoch);
-  return CollectionView(state_, std::move(core), std::move(pin));
+  std::lock_guard<std::mutex> lock(state_->version_mu);
+  return CollectionView(internal::PinLocked(state_, state_->published));
 }
 
-void Collection::Mutate(
-    const std::function<void(internal::StorageVersion&)>& fn) {
-  internal::CollectionShared& st = *state_;
-  std::unique_lock<std::mutex> vlock(st.version_mu);
-  if (st.published.use_count() == 1) {
-    // No view, cursor or retained entry can reach this version, and
-    // none can be acquired while we hold version_mu: mutate in place
-    // (granules shared with older versions still get cloned).
-    internal::StorageVersion& v = *st.published;
-    fn(v);
-    ++v.epoch;
-    v.version_id = st.rng.Next();
-    st.TrimRetainedLocked();
-    vlock.unlock();
-  } else {
-    std::shared_ptr<const internal::StorageVersion> base = st.published;
-    vlock.unlock();
-    // Copy-on-write off the lock: readers keep traversing `base`
-    // while the successor is assembled against shared granules.
-    auto next = std::make_shared<internal::StorageVersion>(*base);
-    fn(*next);
-    ++next->epoch;
-    next->version_id = st.rng.Next();
-    vlock.lock();
-    st.published = std::move(next);
-    st.TrimRetainedLocked();
-    vlock.unlock();
-    base.reset();
+CollectionView Collection::GetViewWithTextIndex(
+    const std::string& field_path) const {
+  std::lock_guard<std::mutex> wlock(state_->writer_mu);
+  // Writers are excluded, so the published documents are stable: build
+  // off version_mu and publish the finished index like any mutation.
+  const internal::StorageVersion& cur = *state_->published;
+  if (cur.TextIndexOn(field_path) == nullptr) {
+    auto idx = std::make_shared<InvertedIndex>(field_path);
+    cur.ForEach([&](DocId id, const DocValue& doc) { idx->AddDoc(id, doc); });
+    state_->Mutate(
+        [&](internal::StorageVersion& v) {
+          v.inverted_index = std::move(idx);
+        },
+        /*bump_epoch=*/false);
   }
-  st.epochs.Reclaim();
+  return GetView();
 }
 
 int Collection::ShardOf(const CollectionOptions& opts, DocId id) {
@@ -382,6 +405,7 @@ void Collection::InsertUnchecked(internal::StorageVersion& v, DocId id,
   for (size_t i = 0; i < v.indexes.size(); ++i) {
     v.MutableIndex(i)->Insert(id, doc);
   }
+  if (v.inverted_index != nullptr) v.MutableTextIndex()->AddDoc(id, doc);
   v.InsertDocSorted(id, std::move(doc));
   ++v.doc_count;
   if (id >= v.next_id) v.next_id = id + 1;
@@ -390,18 +414,18 @@ void Collection::InsertUnchecked(internal::StorageVersion& v, DocId id,
 DocId Collection::Insert(DocValue doc) {
   std::lock_guard<std::mutex> wlock(state_->writer_mu);
   DocId id = state_->published->next_id;  // never live and never 0
-  Mutate([&](internal::StorageVersion& v) {
+  state_->Mutate([&](internal::StorageVersion& v) {
     InsertUnchecked(v, id, std::move(doc));
   });
   if (state_->observer) {
-    // The pinned core keeps the borrowed document alive across the
-    // callback even if a concurrent trim retires this version.
-    auto core = CurrentCore();
+    // Only writers replace or mutate the published version, and we
+    // hold writer_mu: the borrowed document is stable for the callback.
+    const internal::StorageVersion& v = *state_->published;
     MutationEvent ev;
     ev.op = MutationEvent::Op::kInsert;
-    ev.epoch = core->epoch;
+    ev.epoch = v.epoch;
     ev.id = id;
-    ev.doc = core->Get(id);
+    ev.doc = v.Get(id);
     state_->observer(ev);
   }
   return id;
@@ -416,7 +440,7 @@ Status Collection::RestoreDocument(DocId id, DocValue doc) {
     return Status::AlreadyExists("document id " + std::to_string(id) +
                                  " already live in " + state_->ns);
   }
-  Mutate([&](internal::StorageVersion& v) {
+  state_->Mutate([&](internal::StorageVersion& v) {
     InsertUnchecked(v, id, std::move(doc));
   });
   return Status::OK();
@@ -431,12 +455,17 @@ Status Collection::Update(DocId id, DocValue doc) {
   if (doc.is_object() && doc.Find("_id") == nullptr) {
     doc.Add("_id", DocValue::Int(static_cast<int64_t>(id)));
   }
-  Mutate([&](internal::StorageVersion& v) {
+  state_->Mutate([&](internal::StorageVersion& v) {
     DocValue* slot = v.FindMutableDoc(id);
     for (size_t i = 0; i < v.indexes.size(); ++i) {
       SecondaryIndex* idx = v.MutableIndex(i);
       idx->Remove(id, *slot);
       idx->Insert(id, doc);
+    }
+    if (v.inverted_index != nullptr) {
+      InvertedIndex* text = v.MutableTextIndex();
+      text->RemoveDoc(id, *slot);
+      text->AddDoc(id, doc);
     }
     v.data_size += doc.SerializedSize() - slot->SerializedSize();
     // In-place update: extent accounting models append-only
@@ -445,12 +474,12 @@ Status Collection::Update(DocId id, DocValue doc) {
     *slot = std::move(doc);
   });
   if (state_->observer) {
-    auto core = CurrentCore();
+    const internal::StorageVersion& v = *state_->published;
     MutationEvent ev;
     ev.op = MutationEvent::Op::kUpdate;
-    ev.epoch = core->epoch;
+    ev.epoch = v.epoch;
     ev.id = id;
-    ev.doc = core->Get(id);
+    ev.doc = v.Get(id);
     state_->observer(ev);
   }
   return Status::OK();
@@ -462,11 +491,14 @@ Status Collection::Remove(DocId id) {
     return Status::NotFound("no document with id " + std::to_string(id) +
                             " in " + state_->ns);
   }
-  Mutate([&](internal::StorageVersion& v) {
+  state_->Mutate([&](internal::StorageVersion& v) {
     DocValue removed;
     v.EraseDoc(id, &removed);
     for (size_t i = 0; i < v.indexes.size(); ++i) {
       v.MutableIndex(i)->Remove(id, removed);
+    }
+    if (v.inverted_index != nullptr) {
+      v.MutableTextIndex()->RemoveDoc(id, removed);
     }
     v.data_size -= removed.SerializedSize();
     --v.doc_count;
@@ -474,7 +506,7 @@ Status Collection::Remove(DocId id) {
   if (state_->observer) {
     MutationEvent ev;
     ev.op = MutationEvent::Op::kRemove;
-    ev.epoch = CurrentCore()->epoch;
+    ev.epoch = state_->published->epoch;
     ev.id = id;
     state_->observer(ev);
   }
@@ -514,14 +546,14 @@ Status Collection::CreateIndex(const std::vector<std::string>& field_paths) {
     return Status::AlreadyExists("index on " + idx->field_path() +
                                  " already exists");
   }
-  Mutate([&](internal::StorageVersion& v) {
+  state_->Mutate([&](internal::StorageVersion& v) {
     v.ForEach([&](DocId id, const DocValue& doc) { idx->Insert(id, doc); });
     v.indexes.push_back(std::move(idx));
   });
   if (state_->observer) {
     MutationEvent ev;
     ev.op = MutationEvent::Op::kCreateIndex;
-    ev.epoch = CurrentCore()->epoch;
+    ev.epoch = state_->published->epoch;
     ev.index_paths = &field_paths;
     state_->observer(ev);
   }
@@ -533,18 +565,30 @@ void Collection::SetMutationObserver(MutationObserver observer) {
   state_->observer = std::move(observer);
 }
 
-int64_t Collection::count() const { return CurrentCore()->doc_count; }
+int64_t Collection::count() const {
+  std::lock_guard<std::mutex> lock(state_->version_mu);
+  return state_->published->doc_count;
+}
 
-uint64_t Collection::mutation_epoch() const { return CurrentCore()->epoch; }
+uint64_t Collection::mutation_epoch() const {
+  std::lock_guard<std::mutex> lock(state_->version_mu);
+  return state_->published->epoch;
+}
 
-uint64_t Collection::version_id() const { return CurrentCore()->version_id; }
+uint64_t Collection::version_id() const {
+  std::lock_guard<std::mutex> lock(state_->version_mu);
+  return state_->published->version_id;
+}
 
 size_t Collection::retained_version_count() const {
   std::lock_guard<std::mutex> lock(state_->version_mu);
   return state_->retained.size();
 }
 
-DocId Collection::next_id() const { return CurrentCore()->next_id; }
+DocId Collection::next_id() const {
+  std::lock_guard<std::mutex> lock(state_->version_mu);
+  return state_->published->next_id;
+}
 
 void Collection::RestoreNextId(DocId next_id) {
   std::lock_guard<std::mutex> wlock(state_->writer_mu);
@@ -579,7 +623,8 @@ Status Collection::RestoreIndexStats(std::vector<IndexStats> stats) {
 }
 
 CollectionStats Collection::Stats() const {
-  auto core = CurrentCore();
+  std::lock_guard<std::mutex> lock(state_->version_mu);
+  const internal::StorageVersion* core = state_->published.get();
   CollectionStats st;
   st.ns = core->ns;
   st.count = core->doc_count;

@@ -23,9 +23,14 @@
 ///   * Readers call `GetView()` to obtain a `CollectionView`: a
 ///     version handle that pins the version's epoch in an
 ///     `EpochManager` and keeps the version alive by `shared_ptr`.
-///     Everything reached through a view (cursors, index scans,
-///     borrowed documents) is immutable and stays valid for the
-///     view's lifetime, no matter what writers do concurrently.
+///     Everything reached through a view (cursors, index scans, the
+///     text index, borrowed documents) is immutable and stays valid
+///     for the view's lifetime, no matter what writers do
+///     concurrently. Every reference to a version is taken and dropped
+///     under `version_mu` (the last view or cursor copy drops it
+///     there), so the writer's `use_count() == 1` test, made under
+///     the same mutex, is ordered after every read the dropped
+///     reference made.
 ///   * Versions that resume tokens reference are parked in a retained
 ///     set (`RetainForResume`). Publication trims the set to
 ///     `CollectionOptions::retained_versions`, but eviction of a
@@ -53,6 +58,7 @@
 #include "common/status.h"
 #include "storage/docvalue.h"
 #include "storage/index.h"
+#include "storage/inverted_index.h"
 
 namespace dt::storage {
 
@@ -191,6 +197,10 @@ struct StorageVersion {
   std::vector<std::shared_ptr<DocChunk>> chunks;
   std::vector<ExtentChain> shards;
   std::vector<std::shared_ptr<SecondaryIndex>> indexes;  // [0] is _id
+  /// The demand-built inverted index (null until a text read asks for
+  /// one; see `Collection::GetViewWithTextIndex`). Maintained by every
+  /// write once present; never persisted.
+  std::shared_ptr<InvertedIndex> inverted_index;
   int64_t data_size = 0;
   int64_t doc_count = 0;
   /// Ordinal mutation counter: exactly one bump per insert/update/
@@ -210,6 +220,8 @@ struct StorageVersion {
   const DocValue* Get(DocId id) const;
   void ForEach(const std::function<void(DocId, const DocValue&)>& fn) const;
   const SecondaryIndex* IndexOn(const std::string& field_path) const;
+  /// The text index when it covers `field_path`, else nullptr.
+  const InvertedIndex* TextIndexOn(const std::string& field_path) const;
   /// Index of the first chunk whose last id is >= `id` (chunks.size()
   /// if none) — the chunk `id` would live in.
   size_t ChunkLowerBound(DocId id) const;
@@ -218,6 +230,7 @@ struct StorageVersion {
   // to *this; shared granules are cloned before mutation) ----
   DocChunk* MutableChunk(size_t i);
   SecondaryIndex* MutableIndex(size_t i);
+  InvertedIndex* MutableTextIndex();
   /// Inserts into the chunk directory (no index/extent bookkeeping).
   void InsertDocSorted(DocId id, DocValue doc);
   /// Removes `id` from the chunk directory, moving the removed
@@ -242,8 +255,9 @@ struct CollectionShared {
   /// Serializes writers (Insert/Update/Remove/CreateIndex/Restore*).
   std::mutex writer_mu;
   /// Guards `published`, `retained` and the per-version retention
-  /// flags. Ordering: version_mu may be taken before the epoch
-  /// manager's internal lock, never the other way around.
+  /// flags; readers take and drop their version references under it
+  /// (`VersionPin`). Ordering: version_mu may be taken before the
+  /// epoch manager's internal lock, never the other way around.
   mutable std::mutex version_mu;
   EpochManager epochs;
   std::shared_ptr<StorageVersion> published;
@@ -263,18 +277,31 @@ struct CollectionShared {
   /// EpochManager::Retire) the ones whose epoch is still pinned.
   /// Requires version_mu.
   void TrimRetainedLocked();
+
+  /// Runs `fn` against the next version under the publication
+  /// protocol: in place when the published version is unobserved
+  /// (holding version_mu throughout, so no reader can acquire it
+  /// mid-mutation), else copy-on-write + atomic swap. Mints a fresh
+  /// version_id and trims the retained set; `bump_epoch` false
+  /// publishes derived state (the text index) without counting a
+  /// mutation. Callers hold writer_mu.
+  void Mutate(const std::function<void(StorageVersion&)>& fn,
+              bool bump_epoch = true);
 };
 
-/// Epoch pin tied to an object lifetime: shared by every view/cursor
-/// that reads the pinned version; unpins on destruction of the last.
+/// A reader's hold on one version: keeps it alive and its epoch
+/// pinned, shared by every view/cursor copy that reads it. The last
+/// copy drops the version under version_mu, then unpins.
 struct VersionPin {
-  VersionPin(std::shared_ptr<CollectionShared> s, uint64_t e)
-      : state(std::move(s)), epoch(e) {}
-  ~VersionPin() { state->epochs.Unpin(epoch); }
+  VersionPin(std::shared_ptr<CollectionShared> s,
+             std::shared_ptr<const StorageVersion> c, uint64_t e)
+      : state(std::move(s)), core(std::move(c)), epoch(e) {}
+  ~VersionPin();
   VersionPin(const VersionPin&) = delete;
   VersionPin& operator=(const VersionPin&) = delete;
 
   std::shared_ptr<CollectionShared> state;
+  std::shared_ptr<const StorageVersion> core;
   uint64_t epoch;
 };
 
@@ -299,11 +326,9 @@ class DocCursor {
 
  private:
   friend class CollectionView;
-  DocCursor(std::shared_ptr<const internal::StorageVersion> core,
-            std::shared_ptr<const internal::VersionPin> pin)
-      : core_(std::move(core)), pin_(std::move(pin)) {}
+  explicit DocCursor(std::shared_ptr<const internal::VersionPin> pin)
+      : pin_(std::move(pin)) {}
 
-  std::shared_ptr<const internal::StorageVersion> core_;
   std::shared_ptr<const internal::VersionPin> pin_;
   size_t chunk_ = 0;
   size_t pos_ = 0;
@@ -316,41 +341,47 @@ class DocCursor {
 /// for as long as any copy of the view or cursor lives.
 class CollectionView {
  public:
-  const std::string& ns() const { return core_->ns; }
-  const CollectionOptions& options() const { return core_->opts; }
-  int64_t count() const { return core_->doc_count; }
-  DocId next_id() const { return core_->next_id; }
+  const std::string& ns() const { return core().ns; }
+  const CollectionOptions& options() const { return core().opts; }
+  int64_t count() const { return core().doc_count; }
+  DocId next_id() const { return core().next_id; }
   /// Ordinal mutation epoch of this version (see StorageVersion).
-  uint64_t mutation_epoch() const { return core_->epoch; }
+  uint64_t mutation_epoch() const { return core().epoch; }
   /// Random identity of this version — what resume tokens pin.
-  uint64_t version_id() const { return core_->version_id; }
+  uint64_t version_id() const { return core().version_id; }
   /// Lineage id of the owning collection (persisted by snapshots).
-  uint64_t incarnation() const { return state_->incarnation; }
+  uint64_t incarnation() const { return pin_->state->incarnation; }
 
   /// Document with `id`, or nullptr; valid for the view's lifetime.
-  const DocValue* Get(DocId id) const { return core_->Get(id); }
+  const DocValue* Get(DocId id) const { return core().Get(id); }
 
   /// Invokes `fn` for every live document in id order.
   void ForEach(const std::function<void(DocId, const DocValue&)>& fn) const {
-    core_->ForEach(fn);
+    core().ForEach(fn);
   }
 
-  DocCursor ScanDocs() const { return DocCursor(core_, pin_); }
+  DocCursor ScanDocs() const { return DocCursor(pin_); }
 
   bool HasIndex(const std::string& field_path) const {
     return IndexOn(field_path) != nullptr;
   }
   const SecondaryIndex* IndexOn(const std::string& field_path) const {
-    return core_->IndexOn(field_path);
+    return core().IndexOn(field_path);
+  }
+  /// This version's inverted index when it covers `field_path`, else
+  /// nullptr (a version carries one only after a text read asked for
+  /// it; see `Collection::GetViewWithTextIndex`).
+  const InvertedIndex* TextIndexOn(const std::string& field_path) const {
+    return core().TextIndexOn(field_path);
   }
   std::vector<const SecondaryIndex*> Indexes() const;
   std::vector<std::vector<std::string>> IndexSpecs() const;
 
   void NoteIndexScan() const {
-    state_->index_scans.fetch_add(1, std::memory_order_relaxed);
+    pin_->state->index_scans.fetch_add(1, std::memory_order_relaxed);
   }
   void NoteCollScan() const {
-    state_->coll_scans.fetch_add(1, std::memory_order_relaxed);
+    pin_->state->coll_scans.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Parks this view's version in the collection's retained set so a
@@ -368,14 +399,11 @@ class CollectionView {
 
  private:
   friend class Collection;
-  CollectionView(std::shared_ptr<internal::CollectionShared> state,
-                 std::shared_ptr<const internal::StorageVersion> core,
-                 std::shared_ptr<const internal::VersionPin> pin)
-      : state_(std::move(state)), core_(std::move(core)),
-        pin_(std::move(pin)) {}
+  explicit CollectionView(std::shared_ptr<const internal::VersionPin> pin)
+      : pin_(std::move(pin)) {}
 
-  std::shared_ptr<internal::CollectionShared> state_;
-  std::shared_ptr<const internal::StorageVersion> core_;
+  const internal::StorageVersion& core() const { return *pin_->core; }
+
   std::shared_ptr<const internal::VersionPin> pin_;
 };
 
@@ -398,6 +426,16 @@ class Collection {
   /// Pins and returns the currently published version — the read
   /// path for documents and indexes.
   CollectionView GetView() const;
+
+  /// \brief `GetView()` of a version that carries the inverted index on
+  /// `field_path`: the first call builds it over the published
+  /// documents and publishes it (a collection holds one; asking for
+  /// another path replaces it). Derived state only: the mutation
+  /// epoch is unchanged and nothing is logged or persisted, but the
+  /// new version gets a fresh `version_id`, so a page token minted
+  /// before the build keeps resuming against the version it pinned.
+  /// Inserts, updates and removes maintain the index from then on.
+  CollectionView GetViewWithTextIndex(const std::string& field_path) const;
 
   /// Inserts a document, assigning and returning its id. The document
   /// gains an "_id" field if absent.
@@ -515,18 +553,6 @@ class Collection {
   /// next_id.
   static void InsertUnchecked(internal::StorageVersion& v, DocId id,
                               DocValue doc);
-
-  /// Runs `fn` against the next version under the publication
-  /// protocol: in place when the published version is unobserved
-  /// (holding version_mu throughout, so no reader can acquire it
-  /// mid-mutation), else copy-on-write + atomic swap. Bumps the epoch,
-  /// mints a fresh version_id and trims the retained set. Callers
-  /// hold writer_mu.
-  void Mutate(const std::function<void(internal::StorageVersion&)>& fn);
-
-  /// Published version under version_mu (stable while writer_mu is
-  /// held, since publication requires both).
-  std::shared_ptr<const internal::StorageVersion> CurrentCore() const;
 
   std::shared_ptr<internal::CollectionShared> state_;
 };

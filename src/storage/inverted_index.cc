@@ -1,13 +1,14 @@
-#include "query/text_search.h"
+#include "storage/inverted_index.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/strutil.h"
+#include "storage/collection.h"
 
-namespace dt::query {
+namespace dt::storage {
 
-void InvertedIndex::Add(storage::DocId id, std::string_view text) {
+void InvertedIndex::Add(DocId id, std::string_view text) {
   std::vector<std::string> tokens = WordTokens(text);
   if (doc_length_.count(id) == 0) {
     ++num_docs_;
@@ -18,16 +19,16 @@ void InvertedIndex::Add(storage::DocId id, std::string_view text) {
   for (const auto& [term, freq] : tf) {
     auto& plist = postings_[term];
     // The common case is append in ingest order (monotonic ids), which
-    // the back-check keeps O(1); out-of-order ids (entity upserts
-    // under streaming ingest) insert in position so postings stay
-    // sorted. Re-adding the same doc merges frequencies.
+    // the back-check keeps O(1); out-of-order ids (an updated older
+    // doc) insert in position so postings stay sorted. Re-adding the
+    // same doc merges frequencies.
     if (!plist.empty() && plist.back().doc_id < id) {
       plist.push_back({id, freq});
       continue;
     }
     auto it = std::lower_bound(
         plist.begin(), plist.end(), id,
-        [](const Posting& p, storage::DocId want) { return p.doc_id < want; });
+        [](const Posting& p, DocId want) { return p.doc_id < want; });
     if (it != plist.end() && it->doc_id == id) {
       it->term_frequency += freq;
     } else {
@@ -36,7 +37,7 @@ void InvertedIndex::Add(storage::DocId id, std::string_view text) {
   }
 }
 
-void InvertedIndex::Remove(storage::DocId id, std::string_view text) {
+void InvertedIndex::Remove(DocId id, std::string_view text) {
   std::vector<std::string> tokens = WordTokens(text);
   auto len_it = doc_length_.find(id);
   if (len_it == doc_length_.end()) return;
@@ -48,7 +49,7 @@ void InvertedIndex::Remove(storage::DocId id, std::string_view text) {
     auto& plist = pit->second;
     auto it = std::lower_bound(
         plist.begin(), plist.end(), id,
-        [](const Posting& p, storage::DocId want) { return p.doc_id < want; });
+        [](const Posting& p, DocId want) { return p.doc_id < want; });
     if (it == plist.end() || it->doc_id != id) continue;
     it->term_frequency -= freq;
     if (it->term_frequency <= 0) plist.erase(it);
@@ -61,13 +62,24 @@ void InvertedIndex::Remove(storage::DocId id, std::string_view text) {
   }
 }
 
-int64_t InvertedIndex::Build(const storage::CollectionView& view) {
+bool InvertedIndex::AddDoc(DocId id, const DocValue& doc) {
+  const DocValue* field = doc.FindPath(field_path_);
+  if (field == nullptr || !field->is_string()) return false;
+  Add(id, field->string_value());
+  return true;
+}
+
+void InvertedIndex::RemoveDoc(DocId id, const DocValue& doc) {
+  const DocValue* field = doc.FindPath(field_path_);
+  if (field != nullptr && field->is_string()) {
+    Remove(id, field->string_value());
+  }
+}
+
+int64_t InvertedIndex::Build(const CollectionView& view) {
   int64_t indexed = 0;
-  view.ForEach([&](storage::DocId id, const storage::DocValue& doc) {
-    const storage::DocValue* field = doc.FindPath(field_path_);
-    if (field == nullptr || !field->is_string()) return;
-    Add(id, field->string_value());
-    ++indexed;
+  view.ForEach([&](DocId id, const DocValue& doc) {
+    if (AddDoc(id, doc)) ++indexed;
   });
   return indexed;
 }
@@ -77,9 +89,9 @@ int64_t InvertedIndex::DocFrequency(std::string_view token) const {
   return it == postings_.end() ? 0 : static_cast<int64_t>(it->second.size());
 }
 
-std::vector<storage::DocId> InvertedIndex::Postings(
+std::vector<DocId> InvertedIndex::Postings(
     std::string_view token) const {
-  std::vector<storage::DocId> out;
+  std::vector<DocId> out;
   auto it = postings_.find(ToLower(token));
   if (it == postings_.end()) return out;
   out.reserve(it->second.size());
@@ -107,12 +119,12 @@ std::vector<SearchHit> InvertedIndex::Search(std::string_view keywords,
               return a->size() < b->size();
             });
 
-  std::unordered_map<storage::DocId, double> scores;
+  std::unordered_map<DocId, double> scores;
   for (const auto& p : *lists[0]) scores.emplace(p.doc_id, 0.0);
   for (const auto* plist : lists) {
     double idf = std::log(
         (num_docs_ + 1.0) / (static_cast<double>(plist->size()) + 1.0)) + 1.0;
-    std::unordered_map<storage::DocId, double> next;
+    std::unordered_map<DocId, double> next;
     for (const auto& p : *plist) {
       auto it = scores.find(p.doc_id);
       if (it == scores.end()) continue;
@@ -137,4 +149,4 @@ std::vector<SearchHit> InvertedIndex::Search(std::string_view keywords,
   return hits;
 }
 
-}  // namespace dt::query
+}  // namespace dt::storage

@@ -1,10 +1,16 @@
-/// \file text_search.h
+/// \file inverted_index.h
 /// \brief Keyword search over text fragments (how the §V user "queries
 /// the WEBINSTANCE dataset" before knowing any entity names).
 ///
 /// A classic in-memory inverted index: lower-cased word tokens map to
 /// postings with term frequencies; queries are conjunctive keyword
 /// sets ranked by TF-IDF with length normalization.
+///
+/// A collection carries at most one, as a copy-on-write granule of its
+/// storage version (see `Collection::GetViewWithTextIndex`): built the
+/// first time a text read asks for it, maintained by every write after
+/// that, and read through `CollectionView::TextIndexOn`. It is derived
+/// state only: no epoch bump, no WAL record, no snapshot field.
 
 #pragma once
 
@@ -14,14 +20,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
-#include "storage/collection.h"
+#include "storage/docvalue.h"
+#include "storage/index_key.h"
 
-namespace dt::query {
+namespace dt::storage {
+
+class CollectionView;
 
 /// \brief One search hit.
 struct SearchHit {
-  storage::DocId doc_id = 0;
+  DocId doc_id = 0;
   double score = 0;
 };
 
@@ -36,25 +44,31 @@ class InvertedIndex {
 
   /// Indexes (or re-indexes) one document's text. Postings stay
   /// sorted by doc id for any id order (appends take the O(1) tail
-  /// path; out-of-order ids — entity upserts under streaming ingest —
+  /// path; out-of-order ids — an `Update` re-adding an older doc —
   /// insert in position).
-  void Add(storage::DocId id, std::string_view text);
+  void Add(DocId id, std::string_view text);
 
   /// Removes one document's contribution, given the exact text it was
-  /// added with (the entity-side append-delta path keeps the old text
-  /// at hand when upserting). Unknown id/text pairs are a no-op.
-  void Remove(storage::DocId id, std::string_view text);
+  /// added with (writes hand over the document they replace or
+  /// remove). Unknown id/text pairs are a no-op.
+  void Remove(DocId id, std::string_view text);
+
+  /// `Add`/`Remove` of the string at `field_path()` in `doc`; a doc
+  /// lacking it (or holding a non-string) is skipped. AddDoc returns
+  /// whether it indexed anything.
+  bool AddDoc(DocId id, const DocValue& doc);
+  void RemoveDoc(DocId id, const DocValue& doc);
 
   /// Builds the index over every document of `view` (documents lacking
   /// the field are skipped). Returns the number of documents indexed.
-  int64_t Build(const storage::CollectionView& view);
+  int64_t Build(const CollectionView& view);
 
   /// \brief Conjunctive keyword search: documents containing *all*
   /// query tokens, ranked by summed TF-IDF / sqrt(doc length), top `k`.
   std::vector<SearchHit> Search(std::string_view keywords, int k = 10) const;
 
   /// Documents containing the token (unranked, ascending id).
-  std::vector<storage::DocId> Postings(std::string_view token) const;
+  std::vector<DocId> Postings(std::string_view token) const;
 
   /// Number of documents containing the token (0 for unknown tokens).
   /// The planner's selectivity estimate for TextContains predicates.
@@ -66,14 +80,14 @@ class InvertedIndex {
 
  private:
   struct Posting {
-    storage::DocId doc_id;
+    DocId doc_id;
     int32_t term_frequency;
   };
 
   std::string field_path_;
   std::unordered_map<std::string, std::vector<Posting>> postings_;
-  std::unordered_map<storage::DocId, int32_t> doc_length_;
+  std::unordered_map<DocId, int32_t> doc_length_;
   int64_t num_docs_ = 0;
 };
 
-}  // namespace dt::query
+}  // namespace dt::storage

@@ -6,8 +6,9 @@
 /// storage/codec.h binary format), each collection's options and
 /// `next_id`, and the field paths of its secondary indexes. On open
 /// the documents are decoded and the indexes are rebuilt from their
-/// persisted metadata, so `query`/`text_search` run unchanged against
-/// the loaded store.
+/// persisted metadata, so queries run unchanged against the loaded
+/// store. A text index is derived state and is not persisted: a loaded
+/// collection builds it again the first time a text read asks.
 ///
 /// File layout (all framing via storage/codec.h, little-endian):
 ///

@@ -238,7 +238,7 @@ TEST_F(DataTamerTest, FragmentIndexAppliesAppendDeltasAndRebuildsOnRemoval) {
   ASSERT_TRUE(id2.ok());
   auto incremental = tamer_->SearchFragments("quirkava", 5);
   ASSERT_EQ(incremental.size(), 2u);
-  query::InvertedIndex oracle("text");
+  storage::InvertedIndex oracle("text");
   oracle.Build(tamer_->instance_collection()->GetView());
   auto rebuilt = oracle.Search("quirkava", 5);
   ASSERT_EQ(rebuilt.size(), incremental.size());

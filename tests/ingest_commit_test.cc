@@ -365,6 +365,50 @@ TEST(IngestCommitTest, CleanReopenIsReadOnlyUnderAsync) {
   ExpectCleanReopenIsReadOnly(Durability::kAsync, "reopen_async");
 }
 
+/// Text indexes are derived state: building them on the first
+/// `SearchFragments` / `SearchEntities` bumps no mutation epoch, logs
+/// nothing and leaves the store's snapshot bytes unchanged; writes
+/// after that keep both searches current.
+TEST(IngestCommitTest, FirstTextSearchChangesNoPersistedState) {
+  TempPath dir("text_search_derived");
+  TempPath probe("text_search_derived_probe");
+  auto tamer = DataTamer::Open(DurableOpts(dir.path(), Durability::kGroup));
+  ASSERT_TRUE(tamer.ok()) << tamer.status().ToString();
+  storage::Collection* fragments = (*tamer)->instance_collection();
+  fragments->Insert(storage::DocBuilder()
+                        .Set("text", "Matilda grossed 960,998 at the Shubert")
+                        .Build());
+  fragments->Insert(
+      storage::DocBuilder().Set("text", "Wicked at the Gershwin").Build());
+  const std::vector<DedupRecord> corpus = Corpus(20);
+  ASSERT_TRUE((*tamer)->IngestRecords(corpus).ok());
+  const std::string name = corpus[0].fields.at("name");
+
+  // The snapshot bytes carry every collection's documents, indexes
+  // and mutation epoch (dt.fused's included).
+  const std::string before = StoreBytes(**tamer, probe.path());
+  const uint64_t fragments_epoch = fragments->mutation_epoch();
+  const uint64_t appends = (*tamer)->durability_stats().wal_appends;
+
+  EXPECT_EQ((*tamer)->SearchFragments("matilda", 5).size(), 1u);
+  EXPECT_FALSE((*tamer)->SearchEntities(name, 5).empty());
+  EXPECT_EQ(fragments->mutation_epoch(), fragments_epoch);
+  EXPECT_EQ((*tamer)->durability_stats().wal_appends, appends);
+  EXPECT_TRUE(StoreBytes(**tamer, probe.path()) == before)
+      << "building a text index changed the store";
+
+  // The indexes now live in storage and follow the writes.
+  fragments->Insert(
+      storage::DocBuilder().Set("text", "Matilda on tour").Build());
+  EXPECT_EQ((*tamer)->SearchFragments("matilda", 5).size(), 2u);
+  DedupRecord late = corpus[0];
+  late.id = static_cast<int64_t>(corpus.size());
+  late.ingest_seq = 0;
+  late.fields = {{"name", "Zzyzx Quirkava"}};
+  ASSERT_TRUE((*tamer)->IngestRecord(std::move(late)).ok());
+  EXPECT_FALSE((*tamer)->SearchEntities("quirkava", 5).empty());
+}
+
 /// What `DamageFused` changed: dt.fused as the stream left it (by
 /// cluster), and the doc whose text it rewrote.
 struct Damage {

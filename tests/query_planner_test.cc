@@ -26,7 +26,7 @@
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "query/query.h"
-#include "query/text_search.h"
+#include "query/request.h"
 #include "storage/collection.h"
 #include "test_files.h"
 
@@ -232,34 +232,29 @@ TEST(PlannerTest, TextContainsRoutesThroughInvertedIndex) {
   coll.Insert(DocBuilder().Set("text", "Wicked at the Gershwin").Build());
   coll.Insert(DocBuilder().Set("text", "Matilda and Wicked lead").Build());
   coll.Insert(DocBuilder().Set("other", 1).Build());
-  InvertedIndex text_idx("text");
-  text_idx.Build(coll.GetView());
-
-  FindOptions opts;
-  opts.text_index = &text_idx;
   auto pred = Predicate::TextContains("text", "matilda");
-  QueryPlan plan = PlanFind(coll.GetView(), pred, opts);
+  // A view without the text index plans the scan.
+  EXPECT_EQ(PlanFind(coll.GetView(), pred).access, AccessPath::kCollScan);
+  const storage::CollectionView indexed = coll.GetViewWithTextIndex("text");
+
+  QueryPlan plan = PlanFind(indexed, pred);
   EXPECT_EQ(plan.access, AccessPath::kTextIndex);
-  auto via_index = Find(coll.GetView(), pred, opts);
+  auto via_index = Find(indexed, pred);
   FindOptions scan;
   scan.use_indexes = false;
-  auto via_scan = Find(coll.GetView(), pred, scan);
+  auto via_scan = Find(indexed, pred, scan);
   ASSERT_TRUE(via_index.ok());
   ASSERT_TRUE(via_scan.ok());
   EXPECT_EQ(*via_index, *via_scan);
   EXPECT_EQ(via_index->size(), 2u);
 
   // Unknown token: conjunction is empty, still via the text path.
-  auto none = Find(coll.GetView(),
-                   Predicate::TextContains("text", "matilda zebra"), opts);
+  auto none = Find(indexed, Predicate::TextContains("text", "matilda zebra"));
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
 
   // A text index on a different field does not serve this path.
-  InvertedIndex other_idx("body");
-  FindOptions wrong;
-  wrong.text_index = &other_idx;
-  EXPECT_EQ(PlanFind(coll.GetView(), pred, wrong).access,
+  EXPECT_EQ(PlanFind(coll.GetViewWithTextIndex("body"), pred).access,
             AccessPath::kCollScan);
 }
 
@@ -625,39 +620,56 @@ struct FacadeCorpus {
   }
 };
 
+/// A find-family request for `DataTamer::Execute`.
+QueryRequest FindReq(QueryOp op, std::string collection, PredicatePtr pred) {
+  QueryRequest req;
+  req.op = op;
+  req.collection = std::move(collection);
+  req.predicate = std::move(pred);
+  return req;
+}
+
 TEST(DataTamerFindTest, FindAndExplainRouteThroughIndexes) {
   FacadeCorpus corpus(150);
   fusion::DataTamer tamer;
   corpus.Ingest(&tamer, /*with_indexes=*/true);
 
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
-  auto explain = tamer.Explain("entity", pred);
+  QueryRequest req = FindReq(QueryOp::kExplain, "entity", pred);
+  auto explain = tamer.Execute(req);
   ASSERT_TRUE(explain.ok());
-  EXPECT_NE(explain->find("IXSCAN"), std::string::npos) << *explain;
+  EXPECT_NE(explain->explain.find("IXSCAN"), std::string::npos)
+      << explain->explain;
 
-  auto ids = tamer.Find("entity", pred);
+  req.op = QueryOp::kFind;
+  auto ids = tamer.Execute(req);
   ASSERT_TRUE(ids.ok());
-  EXPECT_GT(ids->size(), 0u);
-  FindOptions scan;
-  scan.use_indexes = false;
-  auto scanned = tamer.Find("entity", pred, scan);
+  EXPECT_GT(ids->ids.size(), 0u);
+  req.use_indexes = false;
+  auto scanned = tamer.Execute(req);
   ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(*ids, *scanned);
+  EXPECT_EQ(ids->ids, scanned->ids);
   EXPECT_GT(tamer.entity_collection()->index_scans(), 0);
 
   // TextContains on the instance collection rides the fragment index.
-  auto text_pred = Predicate::TextContains("text", "matilda");
-  auto text_explain = tamer.Explain("instance", text_pred);
+  QueryRequest text = FindReq(QueryOp::kExplain, "instance",
+                              Predicate::TextContains("text", "matilda"));
+  auto text_explain = tamer.Execute(text);
   ASSERT_TRUE(text_explain.ok());
-  EXPECT_NE(text_explain->find("TEXT"), std::string::npos) << *text_explain;
-  auto text_ids = tamer.Find("instance", text_pred);
-  auto text_scan = tamer.Find("instance", text_pred, scan);
+  EXPECT_NE(text_explain->explain.find("TEXT"), std::string::npos)
+      << text_explain->explain;
+  text.op = QueryOp::kFind;
+  auto text_ids = tamer.Execute(text);
+  text.use_indexes = false;
+  auto text_scan = tamer.Execute(text);
   ASSERT_TRUE(text_ids.ok());
   ASSERT_TRUE(text_scan.ok());
-  EXPECT_EQ(*text_ids, *text_scan);
-  EXPECT_GT(text_ids->size(), 0u);
+  EXPECT_EQ(text_ids->ids, text_scan->ids);
+  EXPECT_GT(text_ids->ids.size(), 0u);
 
-  EXPECT_TRUE(tamer.Find("no_such_coll", pred).status().IsNotFound());
+  EXPECT_TRUE(tamer.Execute(FindReq(QueryOp::kFind, "no_such_coll", pred))
+                  .status()
+                  .IsNotFound());
 }
 
 TEST(DataTamerFindTest, SnapshotPreservesPlannerVisibleIndexes) {
@@ -670,9 +682,9 @@ TEST(DataTamerFindTest, SnapshotPreservesPlannerVisibleIndexes) {
       {Predicate::Eq("type", DocValue::Str("Movie")),
        Predicate::Eq("award_winning", DocValue::Str("true"))});
   auto text = Predicate::TextContains("text", "matilda");
-  auto before_eq = tamer.Find("entity", eq);
-  auto before_tree = tamer.Find("entity", tree);
-  auto before_text = tamer.Find("instance", text);
+  auto before_eq = tamer.Execute(FindReq(QueryOp::kFind, "entity", eq));
+  auto before_tree = tamer.Execute(FindReq(QueryOp::kFind, "entity", tree));
+  auto before_text = tamer.Execute(FindReq(QueryOp::kFind, "instance", text));
   ASSERT_TRUE(before_eq.ok());
   ASSERT_TRUE(before_tree.ok());
   ASSERT_TRUE(before_text.ok());
@@ -689,20 +701,21 @@ TEST(DataTamerFindTest, SnapshotPreservesPlannerVisibleIndexes) {
   EXPECT_EQ(loaded.entity_collection()->coll_scans(), 0);
 
   // The rebuilt indexes still drive the same plans...
-  auto explain = loaded.Explain("entity", eq);
+  auto explain = loaded.Execute(FindReq(QueryOp::kExplain, "entity", eq));
   ASSERT_TRUE(explain.ok());
-  EXPECT_NE(explain->find("IXSCAN"), std::string::npos) << *explain;
+  EXPECT_NE(explain->explain.find("IXSCAN"), std::string::npos)
+      << explain->explain;
 
   // ...and every query answers identically to the pre-save store.
-  auto after_eq = loaded.Find("entity", eq);
-  auto after_tree = loaded.Find("entity", tree);
-  auto after_text = loaded.Find("instance", text);
+  auto after_eq = loaded.Execute(FindReq(QueryOp::kFind, "entity", eq));
+  auto after_tree = loaded.Execute(FindReq(QueryOp::kFind, "entity", tree));
+  auto after_text = loaded.Execute(FindReq(QueryOp::kFind, "instance", text));
   ASSERT_TRUE(after_eq.ok());
   ASSERT_TRUE(after_tree.ok());
   ASSERT_TRUE(after_text.ok());
-  EXPECT_EQ(*before_eq, *after_eq);
-  EXPECT_EQ(*before_tree, *after_tree);
-  EXPECT_EQ(*before_text, *after_text);
+  EXPECT_EQ(before_eq->ids, after_eq->ids);
+  EXPECT_EQ(before_tree->ids, after_tree->ids);
+  EXPECT_EQ(before_text->ids, after_text->ids);
   EXPECT_GT(loaded.entity_collection()->index_scans(), 0);
 }
 
@@ -711,14 +724,14 @@ TEST(DataTamerFindTest, FacadeFindPassesOrderAndLimitThrough) {
   fusion::DataTamer tamer;
   corpus.Ingest(&tamer, /*with_indexes=*/true);
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
-  FindOptions opts;
-  opts.order_by = "confidence";
-  opts.order_desc = true;
-  opts.limit = 5;
-  auto got = tamer.Find("entity", pred, opts);
+  QueryRequest req = FindReq(QueryOp::kFind, "entity", pred);
+  req.order_by = "confidence";
+  req.order_desc = true;
+  req.limit = 5;
+  auto got = tamer.Execute(req);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, OracleOrdered(*tamer.entity_collection(), pred,
-                                "confidence", true, 5));
+  EXPECT_EQ(got->ids, OracleOrdered(*tamer.entity_collection(), pred,
+                                    "confidence", true, 5));
 }
 
 // ---------------------------------------------------------------------
@@ -1499,27 +1512,27 @@ TEST(DataTamerFindTest, FacadeFindPageStitchesAcrossMutations) {
   fusion::DataTamer tamer;
   corpus.Ingest(&tamer, /*with_indexes=*/true);
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
-  FindOptions base;
-  base.order_by = "name";
-  auto expected = tamer.Find("entity", pred, base);
+  QueryRequest req = FindReq(QueryOp::kFind, "entity", pred);
+  req.order_by = "name";
+  auto expected = tamer.Execute(req);
   ASSERT_TRUE(expected.ok());
-  ASSERT_GT(expected->size(), 3u);
+  ASSERT_GT(expected->ids.size(), 3u);
 
-  FindOptions opts = base;
-  opts.page_size = 7;
+  req.op = QueryOp::kFindPage;
+  req.page_size = 7;
   std::vector<DocId> stitched;
   std::vector<DocId> final_page;
   std::string last_token;
   for (;;) {
-    auto page = tamer.FindPage("entity", pred, opts);
+    auto page = tamer.Execute(req);
     ASSERT_TRUE(page.ok()) << page.status().ToString();
     stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
     final_page = page->ids;
     if (page->next_token.empty()) break;
     last_token = page->next_token;
-    opts.resume_token = page->next_token;
+    req.resume_token = page->next_token;
   }
-  EXPECT_EQ(stitched, *expected);
+  EXPECT_EQ(stitched, expected->ids);
   ASSERT_FALSE(last_token.empty());
 
   // Mutating the entity collection publishes a new version; the
@@ -1527,11 +1540,90 @@ TEST(DataTamerFindTest, FacadeFindPageStitchesAcrossMutations) {
   // reproducing the final pre-mutation page exactly.
   tamer.entity_collection()->Insert(
       DocBuilder().Set("type", "Movie").Set("name", "Fresh").Build());
-  opts.resume_token = last_token;
-  auto resumed = tamer.FindPage("entity", pred, opts);
+  req.resume_token = last_token;
+  auto resumed = tamer.Execute(req);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->ids, final_page);
   EXPECT_TRUE(resumed->next_token.empty());
+}
+
+/// Four dt.instance fragments whose text is "alpha beta" (ids 1-4).
+void InsertAlphaFragments(fusion::DataTamer* tamer) {
+  for (int i = 0; i < 4; ++i) {
+    tamer->instance_collection()->Insert(
+        DocBuilder().Set("text", "alpha beta").Build());
+  }
+}
+
+/// Follows `req` (a kFindPage carrying the first page's token) to the
+/// end of its chain, appending every page to `stitched`.
+void StitchRest(const fusion::DataTamer& tamer, QueryRequest req,
+                std::vector<DocId>* stitched) {
+  while (!req.resume_token.empty()) {
+    auto page = tamer.Execute(req);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    stitched->insert(stitched->end(), page->ids.begin(), page->ids.end());
+    req.resume_token = page->next_token;
+  }
+}
+
+TEST(DataTamerFindTest, ResumedTextPageReadsThePinnedPostings) {
+  fusion::DataTamer tamer;
+  InsertAlphaFragments(&tamer);
+  QueryRequest req = FindReq(QueryOp::kFindPage, "instance",
+                             Predicate::TextContains("text", "alpha"));
+  req.page_size = 2;
+  auto first = tamer.Execute(req);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->ids, (std::vector<DocId>{1, 2}));
+  ASSERT_FALSE(first->next_token.empty());
+
+  // Writers move on between the pages; the resumed page must read the
+  // postings of the version its token pinned, not the current ones.
+  ASSERT_TRUE(tamer.instance_collection()->Remove(3).ok());
+  tamer.instance_collection()->Insert(
+      DocBuilder().Set("text", "alpha").Build());
+  std::vector<DocId> stitched = first->ids;
+  req.resume_token = first->next_token;
+  StitchRest(tamer, req, &stitched);
+  EXPECT_EQ(stitched, (std::vector<DocId>{1, 2, 3, 4}));
+
+  // The chain ran on the text index, not a scan.
+  req.op = QueryOp::kExplain;
+  req.resume_token.clear();
+  auto explain = tamer.Execute(req);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain->explain.find("TEXT"), std::string::npos)
+      << explain->explain;
+}
+
+TEST(DataTamerFindTest, TextIndexBuiltAfterTheTokenResumesThePinnedVersion) {
+  fusion::DataTamer tamer;
+  InsertAlphaFragments(&tamer);
+  auto pred = Predicate::TextContains("text", "alpha");
+  // The first page comes straight off a view of the still unindexed
+  // collection, so its token pins a scan plan.
+  FindOptions paged;
+  paged.page_size = 2;
+  const storage::CollectionView pinned =
+      tamer.instance_collection()->GetView();
+  EXPECT_EQ(PlanFind(pinned, pred, paged).access, AccessPath::kCollScan);
+  auto first = FindPage(pinned, pred, paged);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->ids, (std::vector<DocId>{1, 2}));
+
+  // The first text read builds the index; then writers move on.
+  EXPECT_EQ(tamer.SearchFragments("alpha", 10).size(), 4u);
+  ASSERT_TRUE(tamer.instance_collection()->Remove(3).ok());
+  tamer.instance_collection()->Insert(
+      DocBuilder().Set("text", "alpha").Build());
+
+  QueryRequest req = FindReq(QueryOp::kFindPage, "instance", pred);
+  req.page_size = 2;
+  req.resume_token = first->next_token;
+  std::vector<DocId> stitched = first->ids;
+  StitchRest(tamer, req, &stitched);
+  EXPECT_EQ(stitched, (std::vector<DocId>{1, 2, 3, 4}));
 }
 
 }  // namespace

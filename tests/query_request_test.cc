@@ -418,7 +418,7 @@ TEST(ExecuteParityTest, FindExplainPageCountAgreeWithLegacy) {
   ExecuteCorpus c;
   auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
 
-  // kFind == Find.
+  // kFind == the query-layer Find over the collection's view.
   QueryRequest req;
   req.op = QueryOp::kFind;
   req.collection = "entity";
@@ -428,20 +428,20 @@ TEST(ExecuteParityTest, FindExplainPageCountAgreeWithLegacy) {
   ASSERT_TRUE(via_execute.ok()) << via_execute.status().ToString();
   FindOptions legacy_opts;
   legacy_opts.order_by = "name";
-  auto legacy = c.tamer.Find("entity", pred, legacy_opts);
+  const storage::CollectionView view = c.tamer.entity_collection()->GetView();
+  auto legacy = Find(view, pred, legacy_opts);
   ASSERT_TRUE(legacy.ok());
   EXPECT_EQ(via_execute->ids, *legacy);
   EXPECT_GT(via_execute->ids.size(), 0u);
   EXPECT_EQ(via_execute->stats.docs_returned,
             static_cast<int64_t>(via_execute->ids.size()));
 
-  // kExplain == Explain, and the plan doc renders to the same string.
+  // kExplain == ExplainFind, and the plan doc renders to the same
+  // string.
   req.op = QueryOp::kExplain;
   auto explained = c.tamer.Execute(req);
   ASSERT_TRUE(explained.ok());
-  auto legacy_explain = c.tamer.Explain("entity", pred, legacy_opts);
-  ASSERT_TRUE(legacy_explain.ok());
-  EXPECT_EQ(explained->explain, *legacy_explain);
+  EXPECT_EQ(explained->explain, ExplainFind(view, pred, legacy_opts));
   EXPECT_FALSE(explained->plan.is_null());
 
   // kFindPage pages stitch to the one-shot result, and a request that

@@ -151,27 +151,27 @@ std::string OracleBytes(const DocumentStore& recovered) {
   return StoreBytes(oracle);
 }
 
-/// Stitched FindPage pages must equal the one-shot Find on the
+/// Stitched kFindPage pages must equal the one-shot kFind on the
 /// recovered facade (the pagination differential of the resumable
 /// cursor work, run against crash-recovered storage).
 void CheckPaginationDifferential(const fusion::DataTamer& dt) {
+  query::QueryRequest req;
+  req.collection = "entity";
   // An empty conjunction matches every document.
-  auto pred = query::Predicate::And({});
-  auto one_shot = dt.Find("entity", pred);
+  req.predicate = query::Predicate::And({});
+  auto one_shot = dt.Execute(req);
   ASSERT_TRUE(one_shot.ok());
-  query::FindOptions opts;
-  opts.page_size = 7;
+  req.op = query::QueryOp::kFindPage;
+  req.page_size = 7;
   std::vector<DocId> stitched;
-  std::string token;
   while (true) {
-    opts.resume_token = token;
-    auto page = dt.FindPage("entity", pred, opts);
+    auto page = dt.Execute(req);
     ASSERT_TRUE(page.ok());
     stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
     if (page->next_token.empty()) break;
-    token = page->next_token;
+    req.resume_token = page->next_token;
   }
-  EXPECT_EQ(stitched, *one_shot);
+  EXPECT_EQ(stitched, one_shot->ids);
 }
 
 /// One fuzz trial: crash the child at `crash_budget` written bytes,
@@ -273,10 +273,16 @@ fusion::DataTamerOptions IngestOpts(const std::string& dir,
   return opts;
 }
 
+/// What the ingest child writes to its ack pipe after the stream's
+/// explicit final checkpoint completed (batch acks are positive).
+constexpr int32_t kCheckpointDone = -1;
+
 /// The child streams the corpus in batches; a background checkpoint
 /// fires every ~2 KB of WAL, i.e. several times per batch. After each
 /// acknowledged batch it writes the number of acknowledged batches to
-/// `ack_fd` (a pipe write, outside the crash budget).
+/// `ack_fd` (a pipe write, outside the crash budget). The background
+/// checkpoint can lose the race to the last batch, so the stream ends
+/// with an explicit `Checkpoint()`, reported as `kCheckpointDone`.
 [[noreturn]] void RunIngestChild(const std::string& dir, int64_t crash_budget,
                                  int ack_fd) {
   crashpoint::g_crash_after_bytes.store(crash_budget);
@@ -290,6 +296,11 @@ fusion::DataTamerOptions IngestOpts(const std::string& dir,
     if (!(*dt)->IngestRecords(std::move(batch)).ok()) _exit(42);
     const int32_t acked = b + 1;
     if (::write(ack_fd, &acked, sizeof acked) != sizeof acked) _exit(43);
+  }
+  if (!(*dt)->Checkpoint().ok()) _exit(45);
+  if (::write(ack_fd, &kCheckpointDone, sizeof kCheckpointDone) !=
+      sizeof kCheckpointDone) {
+    _exit(43);
   }
   raise(SIGKILL);
   _exit(44);
@@ -355,11 +366,19 @@ int RunIngestTrial(int64_t crash_budget, const std::string& tag) {
   int status = 0;
   EXPECT_EQ(waitpid(pid, &status, 0), pid);
   int32_t acked = 0, msg = 0;
-  while (::read(fds[0], &msg, sizeof msg) == sizeof msg) acked = msg;
+  bool checkpointed = false;
+  while (::read(fds[0], &msg, sizeof msg) == sizeof msg) {
+    if (msg == kCheckpointDone) {
+      checkpointed = true;
+    } else {
+      acked = msg;
+    }
+  }
   ::close(fds[0]);
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
       << "child exited with " << WEXITSTATUS(status);
-  if (acked == kIngestBatches) {
+  if (checkpointed) {
+    EXPECT_EQ(acked, kIngestBatches);
     EXPECT_TRUE(HasCheckpointFile(dir.path()));
   }
 

@@ -15,7 +15,6 @@
 #include "ingest/json.h"
 #include "query/planner.h"
 #include "query/predicate.h"
-#include "query/text_search.h"
 #include "server/frame.h"
 #include "storage/codec.h"
 #include "storage/collection.h"
@@ -245,9 +244,9 @@ TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
     if (rng.Bernoulli(0.3)) {
       ASSERT_TRUE(coll.CreateIndex({"c", "a", "b"}).ok());
     }
-    query::InvertedIndex text_idx("text");
+    // Views taken from here on carry the text index (or not).
     const bool with_text = rng.Bernoulli(0.7);
-    if (with_text) text_idx.Build(coll.GetView());
+    if (with_text) (void)coll.GetViewWithTextIndex("text");
 
     for (int trial = 0; trial < 25; ++trial) {
       query::PredicatePtr pred = planner_fuzz::RandomPredicate(&rng, 3);
@@ -288,7 +287,6 @@ TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
         opts.order_by = order_by;
         opts.order_desc = desc;
         opts.limit = limit;
-        if (with_text) opts.text_index = &text_idx;
         auto got = query::Find(view, pred, opts);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_EQ(*got, expected)

@@ -552,9 +552,12 @@ TEST(ServerIntegrationTest, DurableFacadeStatsAndShutdownFlush) {
   // Reopen: everything the server acknowledged is on disk.
   auto dt2 = fusion::DataTamer::Open(opts);
   ASSERT_TRUE(dt2.ok()) << dt2.status().ToString();
-  auto found = (*dt2)->Find("entity", Predicate::And({}));
+  QueryRequest all;
+  all.collection = "entity";
+  all.predicate = Predicate::And({});
+  auto found = (*dt2)->Execute(all);
   ASSERT_TRUE(found.ok()) << found.status().ToString();
-  EXPECT_GT(found->size(), 0u);
+  EXPECT_GT(found->ids.size(), 0u);
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
-#include "query/text_search.h"
+#include "storage/inverted_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "storage/collection.h"
+#include "test_files.h"
+
 namespace dt::query {
 namespace {
 
 using storage::Collection;
+using storage::CollectionView;
+using storage::InvertedIndex;
 using storage::DocBuilder;
 using storage::DocId;
 
@@ -184,6 +189,94 @@ TEST(InvertedIndexTest, DuplicateQueryTermsCollapse) {
   auto twice = idx.Search("matilda matilda");
   ASSERT_EQ(once.size(), twice.size());
   EXPECT_DOUBLE_EQ(once[0].score, twice[0].score);
+}
+
+// ---- the inverted index as a granule of versioned storage ----
+
+/// Hits and scores of `got` equal those of a from-scratch build over
+/// the same view.
+void ExpectMatchesRebuild(const CollectionView& view, const char* keywords) {
+  const InvertedIndex* got = view.TextIndexOn("text");
+  ASSERT_NE(got, nullptr);
+  InvertedIndex oracle("text");
+  oracle.Build(view);
+  EXPECT_EQ(got->num_documents(), oracle.num_documents());
+  auto want = oracle.Search(keywords, 100);
+  auto have = got->Search(keywords, 100);
+  ASSERT_EQ(have.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(have[i].doc_id, want[i].doc_id);
+    EXPECT_DOUBLE_EQ(have[i].score, want[i].score);
+  }
+}
+
+TEST(VersionedTextIndexTest, ViewPinnedBeforeUpdateKeepsOldPostings) {
+  Collection fused("dt.fused");
+  const DocId id =
+      fused.Insert(DocBuilder().Set("text", "Matilda Shubert").Build());
+  fused.Insert(DocBuilder().Set("text", "Wicked Gershwin").Build());
+  EXPECT_EQ(fused.GetView().TextIndexOn("text"), nullptr);
+  const CollectionView before = fused.GetViewWithTextIndex("text");
+  ASSERT_NE(before.TextIndexOn("text"), nullptr);
+  EXPECT_EQ(before.TextIndexOn("name"), nullptr);
+
+  ASSERT_TRUE(
+      fused.Update(id, DocBuilder().Set("text", "Matilda Broadway").Build())
+          .ok());
+  const CollectionView after = fused.GetView();
+  EXPECT_EQ(before.TextIndexOn("text")->Postings("shubert"),
+            std::vector<DocId>{id});
+  EXPECT_TRUE(before.TextIndexOn("text")->Postings("broadway").empty());
+  ASSERT_NE(after.TextIndexOn("text"), nullptr);
+  EXPECT_TRUE(after.TextIndexOn("text")->Postings("shubert").empty());
+  EXPECT_EQ(after.TextIndexOn("text")->Postings("broadway"),
+            std::vector<DocId>{id});
+  ExpectMatchesRebuild(before, "matilda");
+  ExpectMatchesRebuild(after, "matilda");
+}
+
+TEST(VersionedTextIndexTest, WritesMaintainTheIndexLikeARebuild) {
+  Collection coll = MakeFragments();
+  (void)coll.GetViewWithTextIndex("text");
+  const DocId added = coll.Insert(
+      DocBuilder().Set("text", "Matilda extended through spring.").Build());
+  coll.Insert(DocBuilder().Set("other", "no text").Build());
+  ASSERT_TRUE(coll.Remove(1).ok());
+  ASSERT_TRUE(coll.Update(3, DocBuilder()
+                                 .Set("text", "Matilda at the Gershwin")
+                                 .Build())
+                  .ok());
+  const CollectionView view = coll.GetView();
+  EXPECT_EQ(view.TextIndexOn("text")->Postings("spring"),
+            std::vector<DocId>{added});
+  ExpectMatchesRebuild(view, "matilda");
+  ExpectMatchesRebuild(view, "gershwin");
+}
+
+TEST(VersionedTextIndexTest, BuildingTheIndexIsNotAMutation) {
+  Collection coll = MakeFragments();
+  TempPath before_path("text_index_before");
+  TempPath after_path("text_index_after");
+  ASSERT_TRUE(coll.Save(before_path.path()).ok());
+  const uint64_t epoch = coll.mutation_epoch();
+  const uint64_t version = coll.version_id();
+
+  const CollectionView indexed = coll.GetViewWithTextIndex("text");
+  EXPECT_EQ(coll.mutation_epoch(), epoch);
+  EXPECT_EQ(indexed.mutation_epoch(), epoch);
+  // A fresh identity, so tokens minted before the build keep resuming
+  // against the version they pinned.
+  EXPECT_NE(coll.version_id(), version);
+  EXPECT_EQ(coll.GetViewWithTextIndex("text").version_id(),
+            coll.version_id());  // built once, then reused
+
+  // Nothing persisted changes, and a loaded collection starts without
+  // the index.
+  ASSERT_TRUE(coll.Save(after_path.path()).ok());
+  EXPECT_TRUE(Slurp(before_path.path()) == Slurp(after_path.path()));
+  auto loaded = Collection::Open(after_path.path());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->GetView().TextIndexOn("text"), nullptr);
 }
 
 }  // namespace

@@ -670,24 +670,24 @@ TEST(DataTamerDurabilityTest, OpenRecoversFacadeState) {
         ReadFileToString(dir.path() + "/recovered.dtb", &after).ok());
     EXPECT_EQ(after, before);
     // The recovered facade serves queries: stitched pagination equals
-    // the one-shot Find.
-    auto pred = query::Predicate::Eq("type", DocValue::Str("person"));
-    auto one_shot = (*dt)->Find("entity", pred);
+    // the one-shot find.
+    query::QueryRequest req;
+    req.collection = "entity";
+    req.predicate = query::Predicate::Eq("type", DocValue::Str("person"));
+    auto one_shot = (*dt)->Execute(req);
     ASSERT_TRUE(one_shot.ok());
-    EXPECT_EQ(one_shot->size(), 15u);
-    query::FindOptions fopts;
-    fopts.page_size = 4;
+    EXPECT_EQ(one_shot->ids.size(), 15u);
+    req.op = query::QueryOp::kFindPage;
+    req.page_size = 4;
     std::vector<DocId> stitched;
-    std::string token;
     while (true) {
-      fopts.resume_token = token;
-      auto page = (*dt)->FindPage("entity", pred, fopts);
+      auto page = (*dt)->Execute(req);
       ASSERT_TRUE(page.ok());
       stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
       if (page->next_token.empty()) break;
-      token = page->next_token;
+      req.resume_token = page->next_token;
     }
-    EXPECT_EQ(stitched, *one_shot);
+    EXPECT_EQ(stitched, one_shot->ids);
   }
 }
 
