@@ -401,6 +401,7 @@ TEST(IngestCommitTest, FirstTextSearchChangesNoPersistedState) {
   fragments->Insert(
       storage::DocBuilder().Set("text", "Matilda on tour").Build());
   EXPECT_EQ((*tamer)->SearchFragments("matilda", 5).size(), 2u);
+  EXPECT_TRUE((*tamer)->SearchEntities("quirkava", 5).empty());
   DedupRecord late = corpus[0];
   late.id = static_cast<int64_t>(corpus.size());
   late.ingest_seq = 0;
