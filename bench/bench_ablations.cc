@@ -408,7 +408,7 @@ void AblationSnapshot() {
   }
 
   fusion::DataTamerOptions par_opts;
-  par_opts.snapshot_options.num_threads = 4;
+  par_opts.num_threads = 4;
   fusion::DataTamer cold4(par_opts);
   cold4.SetGazetteer(&p.gazetteer);
   Timer t_load4;
@@ -477,8 +477,9 @@ void AblationPlanner() {
     }
     double scan_ms = t_scan.Millis() / reps;
 
+    ThreadPool pool(4);
     query::FindOptions par_opts = scan_opts;
-    par_opts.num_threads = 4;
+    par_opts.pool = &pool;
     Timer t_par;
     std::vector<storage::DocId> via_par;
     for (int i = 0; i < reps; ++i) {
@@ -1520,10 +1521,8 @@ void AblationStreamingIngest(int64_t fragments_override) {
     // batch. One run over the final corpus stands in for it.
     std::vector<dedup::DedupRecord> all(
         corpus.begin(), corpus.begin() + resident + probe);
-    dedup::ConsolidationOptions batch_opts = opts;
-    batch_opts.pool = &pool;
     Timer bt;
-    auto batch = dedup::Consolidate(all, batch_opts);
+    auto batch = dedup::Consolidate(all, opts, nullptr, &pool);
     const double batch_ms = bt.Millis();
     if (!batch.ok()) {
       std::printf("  FAILED: batch: %s\n",

@@ -182,19 +182,7 @@ Status ScoreCandidatePairs(
 
 Result<std::vector<CompositeEntity>> Consolidate(
     const std::vector<DedupRecord>& records, const ConsolidationOptions& opts,
-    ConsolidationStats* stats) {
-  // One pool for the whole run (the caller's when provided);
-  // num_threads == 1 without a caller pool stays fully serial.
-  ThreadPool* pool = opts.pool;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && opts.num_threads != 1) {
-    const int resolved = ResolveNumThreads(opts.num_threads);
-    if (resolved > 1) {
-      owned_pool = std::make_unique<ThreadPool>(resolved);
-      pool = owned_pool.get();
-    }
-  }
-
+    ConsolidationStats* stats, ThreadPool* pool) {
   BlockingStats bstats;
   auto candidates =
       GenerateCandidatePairs(records, opts.blocking, &bstats, pool);

@@ -52,15 +52,6 @@ struct ConsolidationOptions {
   /// decisions merge (kPossibleMatch is clerical-review territory,
   /// never an automatic merge). Takes precedence over `classifier`.
   const FellegiSunterScorer* fs_scorer = nullptr;
-  /// Threads for candidate generation, pair scoring and cluster
-  /// merging: 1 = serial, <= 0 = all hardware threads. The clusters
-  /// produced are byte-identical for every value.
-  int num_threads = 1;
-  /// Externally owned pool to run on (must outlive the call). When
-  /// null and num_threads > 1, each Consolidate call creates its own
-  /// pool; callers consolidating repeatedly should share one here to
-  /// skip the per-call thread spawn/join.
-  ThreadPool* pool = nullptr;
 };
 
 /// Outcome statistics of one consolidation run.
@@ -75,11 +66,13 @@ struct ConsolidationStats {
 /// \brief Runs entity consolidation over `records`.
 ///
 /// Returns one composite entity per cluster (singletons included).
-/// Fails with InvalidArgument when a classifier is configured without
-/// a feature dictionary.
+/// Candidate generation, pair scoring and cluster merging run on
+/// `pool` when non-null (serial otherwise); the clusters produced are
+/// byte-identical for every pool size. Fails with InvalidArgument when
+/// a classifier is configured without a feature dictionary.
 Result<std::vector<CompositeEntity>> Consolidate(
     const std::vector<DedupRecord>& records, const ConsolidationOptions& opts,
-    ConsolidationStats* stats = nullptr);
+    ConsolidationStats* stats = nullptr, ThreadPool* pool = nullptr);
 
 /// \brief Scores `candidates` (i < j index pairs into `records`) with
 /// the configured decision procedure — Fellegi-Sunter scorer, ML

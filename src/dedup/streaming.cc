@@ -48,7 +48,6 @@ void StreamingConsolidator::RebuildClusters() {
 
 Result<StreamingConsolidator::IngestDelta> StreamingConsolidator::Ingest(
     DedupRecord record, ThreadPool* pool) {
-  if (pool == nullptr) pool = opts_.pool;
   const size_t n = records_.size();
   records_.push_back(std::move(record));
   keys_of_record_.push_back(BlockingKeys(records_.back(), opts_.blocking));
@@ -224,7 +223,6 @@ Status StreamingConsolidator::Seed(std::vector<DedupRecord> records,
   if (!records_.empty()) {
     return Status::InvalidArgument("Seed requires an empty consolidator");
   }
-  if (pool == nullptr) pool = opts_.pool;
   records_ = std::move(records);
   const size_t n = records_.size();
   keys_of_record_.assign(n, {});
@@ -279,7 +277,6 @@ Status StreamingConsolidator::Seed(std::vector<DedupRecord> records,
 
 Result<std::vector<CompositeEntity>> StreamingConsolidator::Entities(
     ThreadPool* pool) const {
-  if (pool == nullptr) pool = opts_.pool;
   std::vector<const std::vector<size_t>*> groups;
   groups.reserve(members_of_root_.size());
   for (const auto& [root, members] : members_of_root_) {

@@ -87,8 +87,8 @@ class StreamingConsolidator {
 
   /// \brief Ingests one record: updates the candidate map, scores the
   /// record against its blocking neighbors only, merges clusters (and
-  /// retracts matches orphaned by a block retirement). `pool` wins
-  /// over `options().pool` when non-null.
+  /// retracts matches orphaned by a block retirement). Candidate
+  /// scoring runs on `pool` when non-null.
   Result<IngestDelta> Ingest(DedupRecord record, ThreadPool* pool = nullptr);
 
   /// \brief Bulk-loads `records` through the batch blocking + scoring

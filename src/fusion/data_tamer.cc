@@ -9,6 +9,7 @@
 #include "ingest/json.h"
 #include "ingest/type_infer.h"
 #include "match/name_matcher.h"
+#include "storage/snapshot.h"
 
 namespace dt::fusion {
 
@@ -24,14 +25,6 @@ DataTamer::DataTamer(DataTamerOptions opts)
           opts.schema_options, synonyms_.get())),
       store_("dt"),
       transforms_(clean::TransformRegistry::Builtins(opts.eur_usd_rate)) {
-  // The facade-level thread knob is the default for the consolidation
-  // engine and the snapshot codec; explicit per-subsystem values win.
-  if (opts_.num_threads != 1 && opts_.consolidation_options.num_threads == 1) {
-    opts_.consolidation_options.num_threads = opts_.num_threads;
-  }
-  if (opts_.num_threads != 1 && opts_.snapshot_options.num_threads == 1) {
-    opts_.snapshot_options.num_threads = opts_.num_threads;
-  }
   const int threads = ResolveNumThreads(opts_.num_threads);
   if (threads > 1) worker_pool_ = std::make_unique<ThreadPool>(threads);
   instance_ =
@@ -259,46 +252,10 @@ std::vector<query::CountRow> DataTamer::TopDiscussed(
   req.entity_type = entity_type;
   req.k = k;
   req.award_winning_only = award_winning_only;
+  req.num_threads = 0;  // the facade's whole budget
   Result<query::QueryResponse> resp = Execute(req);
   if (!resp.ok()) return {};
   return std::move(resp->groups);
-}
-
-/// The facade's pool serves a request for `want` threads only when it
-/// is exactly that wide — a caller asking for any other count keeps its
-/// own transient pool (a set pool wins over num_threads, so attaching
-/// a mismatched one would silently override the request in either
-/// direction).
-ThreadPool* DataTamer::PoolFor(int num_threads) const {
-  const int want = ResolveNumThreads(num_threads);
-  return want > 1 && want == ResolveNumThreads(opts_.num_threads)
-             ? worker_pool_.get()
-             : nullptr;
-}
-
-storage::SnapshotOptions DataTamer::ResolveSnapshotOptions() const {
-  storage::SnapshotOptions opts = opts_.snapshot_options;
-  if (opts.pool == nullptr) opts.pool = PoolFor(opts.num_threads);
-  return opts;
-}
-
-dedup::ConsolidationOptions DataTamer::ResolveConsolidationOptions() const {
-  dedup::ConsolidationOptions opts = opts_.consolidation_options;
-  // Batch and streaming consolidation ride the facade's one shared
-  // pool instead of spawning a private pool per call.
-  if (opts.pool == nullptr) opts.pool = PoolFor(opts.num_threads);
-  return opts;
-}
-
-query::FindOptions DataTamer::ResolveFindOptions(
-    query::FindOptions opts) const {
-  if (opts_.num_threads != 1 && opts.num_threads == 1) {
-    opts.num_threads = opts_.num_threads;
-  }
-  // Parallel scans ride the facade's one pool instead of constructing
-  // a fresh ThreadPool per query.
-  if (opts.pool == nullptr) opts.pool = PoolFor(opts.num_threads);
-  return opts;
 }
 
 namespace {
@@ -327,7 +284,7 @@ Result<query::QueryResponse> DataTamer::Execute(
         "ingest is a mutating op; route it through ExecuteMutable");
   }
   // Requests come off the wire: a thread count past the facade's
-  // budget would make every COLLSCAN build a transient pool that wide.
+  // budget is refused rather than silently narrowed.
   const int budget = ResolveNumThreads(opts_.num_threads);
   if (req.num_threads < 0 || req.num_threads > budget) {
     return Status::InvalidArgument(
@@ -346,8 +303,9 @@ Result<query::QueryResponse> DataTamer::Execute(
   opts.page_size = req.page_size;
   opts.resume_token = req.resume_token;
   opts.use_indexes = req.use_indexes;
-  opts.num_threads =
-      req.num_threads == 0 ? budget : static_cast<int>(req.num_threads);
+  // 1 asks for a serial scan; any other admitted count rides the
+  // facade's one pool.
+  if (req.num_threads != 1) opts.pool = worker_pool_.get();
   query::ExecStats exec_stats;
   opts.stats = &exec_stats;
 
@@ -356,7 +314,6 @@ Result<query::QueryResponse> DataTamer::Execute(
                                     : req.collection;
   DT_ASSIGN_OR_RETURN(const storage::Collection* coll,
                       store_.GetCollection(coll_name));
-  opts = ResolveFindOptions(std::move(opts));
   // One version handle per request: the whole execution sees one
   // immutable storage version however the collection mutates. A
   // fragment keyword read pins a version carrying the text index
@@ -465,10 +422,11 @@ std::vector<dedup::DedupRecord> DataTamer::CollectRecords(
   // entities of `entity_type`, not a full collection pass. The name
   // comparison stays in code: it matches on the *normalized* form,
   // which no index key carries.
-  auto type_ids =
-      query::Find(entities, query::Predicate::Eq("type",
-                                                 DocValue::Str(entity_type)),
-                  ResolveFindOptions({}));
+  query::FindOptions find_opts;
+  find_opts.pool = worker_pool_.get();
+  auto type_ids = query::Find(
+      entities, query::Predicate::Eq("type", DocValue::Str(entity_type)),
+      find_opts);
   RethrowIfError(type_ids.status());  // scan bodies cannot fail short of OOM
   for (storage::DocId id : *type_ids) {
     const DocValue* doc = entities.Get(id);
@@ -556,12 +514,12 @@ std::vector<dedup::DedupRecord> DataTamer::CollectRecords(
 }
 
 Status DataTamer::SaveSnapshot(const std::string& path) const {
-  return storage::SaveSnapshot(store_, path, ResolveSnapshotOptions());
+  return storage::SaveSnapshot(store_, path, worker_pool_.get());
 }
 
 Status DataTamer::LoadSnapshot(const std::string& path) {
   DT_ASSIGN_OR_RETURN(std::unique_ptr<storage::DocumentStore> loaded,
-                      storage::LoadSnapshot(path, ResolveSnapshotOptions()));
+                      storage::LoadSnapshot(path, worker_pool_.get()));
   // Validate before committing so a bad file leaves the facade usable.
   for (const char* required : {"instance", "entity"}) {
     if (!loaded->GetCollection(required).ok()) {
@@ -592,7 +550,8 @@ std::vector<storage::SearchHit> DataTamer::SearchFragments(
 Result<std::vector<dedup::CompositeEntity>> DataTamer::ConsolidateAll(
     const std::string& entity_type, dedup::ConsolidationStats* stats) const {
   auto records = CollectRecords(entity_type, "");
-  return dedup::Consolidate(records, ResolveConsolidationOptions(), stats);
+  return dedup::Consolidate(records, opts_.consolidation_options, stats,
+                            worker_pool_.get());
 }
 
 // ---- Continuous ingest (streaming consolidation) -----------------------
@@ -636,7 +595,7 @@ Status DataTamer::EnsureStreaming() {
     DT_RETURN_NOT_OK(wal_manager_->Attach(&store_));
   }
   streaming_ = std::make_unique<dedup::StreamingConsolidator>(
-      ResolveConsolidationOptions());
+      opts_.consolidation_options);
   // Rebuild the resident state from the persisted record log (ascending
   // id = original arrival order), the durable source of truth.
   const storage::CollectionView record_log = record_coll_->GetView();
@@ -655,7 +614,8 @@ Status DataTamer::EnsureStreaming() {
   });
   DT_RETURN_NOT_OK(decode);
   if (!persisted.empty()) {
-    DT_RETURN_NOT_OK(streaming_->Seed(std::move(persisted)));
+    DT_RETURN_NOT_OK(
+        streaming_->Seed(std::move(persisted), worker_pool_.get()));
     ingest_stats_.seeded_records =
         static_cast<int64_t>(streaming_->records().size());
   }
@@ -763,7 +723,7 @@ Result<IngestResult> DataTamer::IngestRecords(
     // from.
     record_coll_->Insert(dedup::DedupRecordToDoc(rec));
     DT_ASSIGN_OR_RETURN(dedup::StreamingConsolidator::IngestDelta delta,
-                        streaming_->Ingest(std::move(rec)));
+                        streaming_->Ingest(std::move(rec), worker_pool_.get()));
     DT_RETURN_NOT_OK(ApplyClusterDelta(delta));
     ++out.ingested;
     out.clusters_upserted += static_cast<int64_t>(delta.upserted.size());
@@ -808,7 +768,7 @@ std::vector<storage::SearchHit> DataTamer::SearchEntities(
 
 Result<std::vector<dedup::CompositeEntity>> DataTamer::IngestedEntities() {
   DT_RETURN_NOT_OK(EnsureStreaming());
-  return streaming_->Entities();
+  return streaming_->Entities(worker_pool_.get());
 }
 
 Result<Table> DataTamer::QueryEntity(const std::string& entity_type,

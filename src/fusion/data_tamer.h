@@ -30,7 +30,6 @@
 #include "relational/catalog.h"
 #include "storage/document_store.h"
 #include "storage/recovery.h"
-#include "storage/snapshot.h"
 #include "storage/inverted_index.h"
 #include "textparse/domain_parser.h"
 
@@ -54,16 +53,12 @@ struct DataTamerOptions {
   int text_trust = 1;
   /// EUR->USD rate for the currency transform.
   double eur_usd_rate = 1.30;
-  /// Worker threads for the consolidation hot path (candidate
-  /// generation, pair scoring, cluster merging): 1 = serial, <= 0 =
-  /// all hardware threads. Propagates into
-  /// `consolidation_options.num_threads` unless that was itself set
-  /// away from its default. Output is identical for every value.
+  /// The facade's one thread budget: 1 = serial, <= 0 = all hardware
+  /// threads. Above 1 the constructor builds one pool of this width,
+  /// and every parallel stage runs on it: batch and streaming
+  /// consolidation, snapshot encode/decode and the full-scan fallback
+  /// of `Execute`. Output is identical for every value.
   int num_threads = 1;
-  /// Chunking/parallelism for `SaveSnapshot`/`LoadSnapshot`. Its
-  /// `num_threads` inherits the facade-level knob above unless set
-  /// away from its default.
-  storage::SnapshotOptions snapshot_options;
   /// Crash-safe durability (WAL + incremental checkpoints). Only
   /// honored by `DataTamer::Open`: set `durability.dir` to a
   /// directory and every committed mutation is write-ahead logged
@@ -131,8 +126,8 @@ struct PipelineStats {
 /// collections and facade members the reads dereference. Concurrent
 /// const calls share only the collections and the pool, but no test
 /// covers them yet, so `DtServer` still runs reads one at a time.
-/// (Parallelism *inside* one call is what
-/// `DataTamerOptions::num_threads` provides.)
+/// (Parallelism *inside* one call runs on the one pool that
+/// `DataTamerOptions::num_threads` sizes; no stage builds its own.)
 class DataTamer {
  public:
   explicit DataTamer(DataTamerOptions opts = {});
@@ -251,11 +246,11 @@ class DataTamer {
   /// cost-aware planner (secondary indexes including compound ones,
   /// sort/limit push-down, parallel scan fallback on the facade's one
   /// pool); a TextContains on dt.instance's "text" builds that
-  /// collection's text index on first use and rides it. A request
-  /// asking for more scan threads than the facade's budget
-  /// (`options().num_threads`, resolved), for a negative thread count
-  /// or for a negative `k` is kInvalidArgument; `num_threads` 0 means
-  /// the whole budget.
+  /// collection's text index on first use and rides it. A request's
+  /// `num_threads` of 1 scans serially; 0, or any count up to the
+  /// facade's budget (`options().num_threads`, resolved), scans on the
+  /// facade's pool. A negative thread count, one past the budget or a
+  /// negative `k` is kInvalidArgument.
   Result<query::QueryResponse> Execute(const query::QueryRequest& req) const;
 
   /// \brief Table IV: top-k most discussed entities of `entity_type`
@@ -295,7 +290,7 @@ class DataTamer {
 
   /// \brief Persists the document store (dt.instance, dt.entity and
   /// any other collections) to `path` as one binary snapshot file.
-  /// Uses `options().snapshot_options`; save -> load -> save is
+  /// Encodes on the facade's pool; save -> load -> save is
   /// byte-identical.
   Status SaveSnapshot(const std::string& path) const;
 
@@ -349,19 +344,6 @@ class DataTamer {
   std::vector<dedup::DedupRecord> CollectRecords(
       const std::string& entity_type, const std::string& name) const;
 
-  /// The facade's pool when it can serve a `num_threads` request
-  /// (resolved as `ResolveNumThreads` does), else null: the caller then
-  /// builds its own, as a per-call option asks.
-  ThreadPool* PoolFor(int num_threads) const;
-
-  /// `options().snapshot_options` with the facade's pool attached.
-  storage::SnapshotOptions ResolveSnapshotOptions() const;
-
-  /// `options().consolidation_options` with the facade's pool attached
-  /// (the batch and streaming engines both run on the facade's one
-  /// shared pool instead of constructing a pool per call).
-  dedup::ConsolidationOptions ResolveConsolidationOptions() const;
-
   // ---- streaming-ingest internals ----
 
   /// Lazily creates the dt.dedup_record / dt.fused collections (re-
@@ -393,10 +375,6 @@ class DataTamer {
   /// collections, re-resolves the cached pointers and resets every
   /// piece of derived state to reflect exactly the replaced store.
   void ReplaceStore(storage::DocumentStore store);
-
-  /// Facade-side `FindOptions` resolution: thread-knob inheritance
-  /// and the shared pool.
-  query::FindOptions ResolveFindOptions(query::FindOptions opts) const;
 
   relational::Table ApplyIngestTransforms(relational::Table table);
 

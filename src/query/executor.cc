@@ -243,8 +243,8 @@ DocValue CollScanCursor::SaveCheckpoint() const {
 
 Result<CursorPtr> CollScanCursor::Parallel(const CollectionView& view,
                                            const PredicatePtr& pred,
-                                           int num_threads, ThreadPool* pool,
-                                           ExecStats* stats, DocId after_id) {
+                                           ThreadPool* pool, ExecStats* stats,
+                                           DocId after_id) {
   // The chunked loop needs random access; stage (id, doc) pointers —
   // they point into the view's immutable version, which the caller
   // keeps alive across this call.
@@ -255,11 +255,6 @@ Result<CursorPtr> CollScanCursor::Parallel(const CollectionView& view,
   });
   if (stats != nullptr) {
     stats->docs_examined += static_cast<int64_t>(docs.size());
-  }
-  std::unique_ptr<ThreadPool> transient;
-  if (pool == nullptr) {
-    transient = std::make_unique<ThreadPool>(ResolveNumThreads(num_threads));
-    pool = transient.get();
   }
   const size_t num_chunks = static_cast<size_t>(pool->num_threads()) * 4;
   std::vector<std::vector<DocId>> parts(num_chunks);

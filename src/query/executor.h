@@ -234,12 +234,11 @@ class CollScanCursor : public Cursor {
                  ExecStats* stats, storage::DocId after_id = 0);
 
   /// Parallel scan: materializes matching ids > `after_id` on `pool`
-  /// (or a transient pool of `num_threads` when `pool` is null) and
-  /// returns a cursor replaying them. Output is identical to the
+  /// and returns a cursor replaying them. Output is identical to the
   /// serial form for every thread count.
   static Result<CursorPtr> Parallel(const storage::CollectionView& view,
-                                    const PredicatePtr& pred, int num_threads,
-                                    ThreadPool* pool, ExecStats* stats,
+                                    const PredicatePtr& pred, ThreadPool* pool,
+                                    ExecStats* stats,
                                     storage::DocId after_id = 0);
 
   bool Next(storage::DocId* id) override;

@@ -829,12 +829,10 @@ Result<CursorPtr> BuildAccessCursor(const CollectionView& coll,
       if (ckpt != nullptr) {
         DT_ASSIGN_OR_RETURN(after_id, CkptWatermark(*ckpt, "CS"));
       }
-      const int threads = opts.pool != nullptr
-                              ? opts.pool->num_threads()
-                              : ResolveNumThreads(opts.num_threads);
-      if (threads > 1 && coll.count() >= 2) {
-        return CollScanCursor::Parallel(coll, plan.node, opts.num_threads,
-                                        opts.pool, stats, after_id);
+      if (opts.pool != nullptr && opts.pool->num_threads() > 1 &&
+          coll.count() >= 2) {
+        return CollScanCursor::Parallel(coll, plan.node, opts.pool, stats,
+                                        after_id);
       }
       return CursorPtr(std::make_unique<CollScanCursor>(coll, plan.node,
                                                         stats, after_id));

@@ -19,8 +19,8 @@
 ///                order-covering index scans: a k-way (order key,
 ///                id-asc) merge, so the ordered Or executes SORT-free
 ///                and a limit early-terminates the branch walks.
-///   COLLSCAN     everything else: a full scan, chunked over the
-///                thread pool when `num_threads > 1`.
+///   COLLSCAN     everything else: a full scan, chunked over
+///                `FindOptions::pool` when it has more than one thread.
 ///
 /// The access path is then decorated into an operator pipeline —
 /// FILTER for residual re-checks, SORT / TOPK (fused sort+limit) when
@@ -56,9 +56,6 @@ namespace dt::query {
 
 /// Execution knobs for `Find`.
 struct FindOptions {
-  /// Threads for the full-scan fallback: 1 = serial, <= 0 = all
-  /// hardware threads. Results are identical for every value.
-  int num_threads = 1;
   /// Keep only the first `limit` results (in the requested order);
   /// -1 = unlimited. Honored inside execution: an order-covering index
   /// scan stops after ~limit entries.
@@ -103,9 +100,8 @@ struct FindOptions {
   /// "stale"), or when the re-planned query fingerprint (predicate,
   /// index bounds, order, limit) differs.
   std::string resume_token;
-  /// Borrowed worker pool for parallel scans; null = construct a
-  /// transient pool when `num_threads` resolves past 1 (the facade
-  /// shares its cached pool through this).
+  /// Borrowed worker pool for the full-scan fallback; null = serial.
+  /// Results are identical for every pool size.
   ThreadPool* pool = nullptr;
   /// Out-param: reset and filled by `Find` with what the execution
   /// actually touched (push-down observability). May be null.

@@ -78,16 +78,21 @@ const storage::SecondaryIndex* AggIndex(const storage::CollectionView& view,
 /// Group counts of `path` over the documents matching `pred` (null =
 /// all). The unfiltered indexed form goes through `IndexGroupRows`
 /// instead (the callers dispatch), so this always scans or folds.
+/// Every document read to take its group key counts into
+/// `opts.stats->docs_examined`.
 GroupCounts CountGroups(const storage::CollectionView& view,
                         const std::string& path, const PredicatePtr& pred,
                         const FindOptions& opts) {
   GroupCounts counts;
+  int64_t fetched = 0;
   if (pred == nullptr) {
     view.ForEach([&](storage::DocId, const DocValue& doc) {
+      ++fetched;
       std::string key;
       if (CountKeyOf(doc.FindPath(path), &key)) ++counts[key];
     });
     view.NoteCollScan();
+    if (opts.stats != nullptr) opts.stats->docs_examined += fetched;
     return counts;
   }
   // Counting needs every matching document: a leftover limit, order or
@@ -103,10 +108,14 @@ GroupCounts CountGroups(const storage::CollectionView& view,
   Status st = FindFold(view, pred, find_opts, [&](storage::DocId id) {
     const DocValue* doc = view.Get(id);
     if (doc == nullptr) return;
+    ++fetched;
     std::string key;
     if (CountKeyOf(doc->FindPath(path), &key)) ++counts[key];
   });
   RethrowIfError(st);  // scan bodies cannot fail short of OOM
+  // FindFold reset the stats and counted what its own cursors read;
+  // the group-key fetches above come on top.
+  if (opts.stats != nullptr) opts.stats->docs_examined += fetched;
   return counts;
 }
 

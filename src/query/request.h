@@ -70,8 +70,9 @@ struct QueryRequest {
   std::string resume_token;
   bool use_indexes = true;
   /// Scan parallelism request, bounded by the executing facade's
-  /// thread budget: 0 asks for the whole budget, and a count outside
-  /// [0, budget] is kInvalidArgument.
+  /// thread budget: 1 scans serially, 0 or any count up to the budget
+  /// scans on the facade's one pool, and a count outside [0, budget]
+  /// is kInvalidArgument.
   int64_t num_threads = 1;
 
   // ---- aggregation ops ----

@@ -62,7 +62,6 @@
 
 namespace dt::storage {
 
-struct SnapshotOptions;
 class Collection;
 class CollectionView;
 
@@ -484,18 +483,6 @@ class Collection {
 
   /// Id that the next `Insert` will assign.
   DocId next_id() const;
-
-  // ---- Snapshot persistence (implemented in storage/snapshot.cc) ----
-
-  /// Writes this collection as a standalone binary snapshot file.
-  Status Save(const std::string& path, const SnapshotOptions& opts) const;
-  Status Save(const std::string& path) const;
-
-  /// Reads a collection snapshot written by `Save`. Secondary indexes
-  /// are rebuilt from their persisted field paths.
-  static Result<std::unique_ptr<Collection>> Open(const std::string& path,
-                                                  const SnapshotOptions& opts);
-  static Result<std::unique_ptr<Collection>> Open(const std::string& path);
 
   /// \brief Inserts a document under an explicit id (snapshot loading;
   /// not a general API). Extent accounting and indexes are maintained

@@ -54,20 +54,6 @@ class DocumentStore {
 
   const std::string& db_name() const { return db_name_; }
 
-  // ---- Snapshot persistence (implemented in storage/snapshot.cc) ----
-
-  /// Writes the whole store (every collection: documents, options,
-  /// index metadata) as one binary snapshot file.
-  Status Save(const std::string& path, const SnapshotOptions& opts) const;
-  Status Save(const std::string& path) const;
-
-  /// Reads a store snapshot written by `Save`. Collections come back
-  /// with their original options, documents, ids and (rebuilt)
-  /// secondary indexes; queries run unchanged against the result.
-  static Result<std::unique_ptr<DocumentStore>> Open(
-      const std::string& path, const SnapshotOptions& opts);
-  static Result<std::unique_ptr<DocumentStore>> Open(const std::string& path);
-
  private:
   std::string db_name_;
   std::map<std::string, std::unique_ptr<Collection>> collections_;

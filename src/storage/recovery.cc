@@ -13,6 +13,7 @@
 
 #include "common/logging.h"
 #include "storage/codec.h"
+#include "storage/snapshot.h"
 
 namespace dt::storage {
 
@@ -241,8 +242,7 @@ Status WalManager::Recover(std::unique_ptr<DocumentStore>* recovered) {
   for (const auto& [name, e] : manifest_) {
     DT_ASSIGN_OR_RETURN(
         std::unique_ptr<Collection> coll,
-        LoadCollectionSnapshot(JoinPath(opts_.dir, e.file),
-                               opts_.snapshot_options));
+        LoadCollectionSnapshot(JoinPath(opts_.dir, e.file)));
     if (coll->incarnation() != e.incarnation ||
         coll->mutation_epoch() != e.epoch) {
       return Status::Corruption("checkpoint " + e.file +
@@ -623,8 +623,7 @@ Status WalManager::CheckpointLocked() {
     e.file = "coll-" + std::to_string(new_floor) + "-" +
              std::to_string(next.size()) + ".dtb";
     std::string buf;
-    DT_RETURN_NOT_OK(EncodeCollectionSnapshot(view, opts_.snapshot_options,
-                                              &buf));
+    DT_RETURN_NOT_OK(EncodeCollectionSnapshot(view, nullptr, &buf));
     DT_RETURN_NOT_OK(AtomicWriteFile(JoinPath(opts_.dir, e.file), buf));
     next[name] = std::move(e);
     ++ckpt_written_;

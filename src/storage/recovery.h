@@ -55,7 +55,6 @@
 
 #include "common/status.h"
 #include "storage/document_store.h"
-#include "storage/snapshot.h"
 #include "storage/wal.h"
 
 namespace dt::storage {
@@ -71,8 +70,6 @@ struct DurabilityOptions {
   /// bytes (a background thread watches the high-water mark).
   /// 0 = manual checkpoints only.
   uint64_t checkpoint_wal_bytes = 64ull << 20;
-  /// Encode/decode parallelism for checkpoint snapshots.
-  SnapshotOptions snapshot_options;
 };
 
 /// Counters surfaced through `DataTamer::durability_stats()` and

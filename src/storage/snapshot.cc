@@ -64,11 +64,10 @@ struct ChunkSpec {
   size_t end = 0;    // one past last doc index
 };
 
-std::vector<ChunkSpec> MakeChunks(size_t num_docs, int docs_per_chunk) {
-  size_t per = docs_per_chunk > 0 ? static_cast<size_t>(docs_per_chunk) : 512;
+std::vector<ChunkSpec> MakeChunks(size_t num_docs) {
   std::vector<ChunkSpec> chunks;
-  for (size_t at = 0; at < num_docs; at += per) {
-    chunks.push_back({at, std::min(num_docs, at + per)});
+  for (size_t at = 0; at < num_docs; at += kDocsPerChunk) {
+    chunks.push_back({at, std::min(num_docs, at + kDocsPerChunk)});
   }
   return chunks;
 }
@@ -88,7 +87,7 @@ Status ForEachChunk(ThreadPool* pool, size_t n,
 // ---- collection section -----------------------------------------------
 
 Status WriteCollectionSection(const CollectionView& coll, ThreadPool* pool,
-                              int docs_per_chunk, std::string* out) {
+                              std::string* out) {
   BinaryWriter w(out);
   w.PutString(coll.ns());
   const CollectionOptions& copts = coll.options();
@@ -120,15 +119,14 @@ Status WriteCollectionSection(const CollectionView& coll, ThreadPool* pool,
   }
 
   // Snapshot (id, doc) in id order; chunk boundaries depend only on
-  // the order and docs_per_chunk, so output bytes are identical for
-  // every thread count.
+  // the order, so output bytes are identical for every thread count.
   std::vector<std::pair<DocId, const DocValue*>> docs;
   docs.reserve(static_cast<size_t>(coll.count()));
   coll.ForEach(
       [&docs](DocId id, const DocValue& doc) { docs.emplace_back(id, &doc); });
   w.PutU64(static_cast<uint64_t>(docs.size()));
 
-  std::vector<ChunkSpec> chunks = MakeChunks(docs.size(), docs_per_chunk);
+  std::vector<ChunkSpec> chunks = MakeChunks(docs.size());
   std::vector<std::string> payloads(chunks.size());
   DT_RETURN_NOT_OK(ForEachChunk(pool, chunks.size(), [&](size_t c) {
     std::string& buf = payloads[c];
@@ -364,20 +362,6 @@ Status ReadHeader(BinaryReader* r, uint8_t expected_kind) {
   return Status::OK();
 }
 
-ThreadPool* MakePool(const SnapshotOptions& opts,
-                     std::unique_ptr<ThreadPool>* holder) {
-  // A caller-provided pool carries the work (the facade shares one
-  // pool across planner and snapshot calls); only without one does the
-  // num_threads knob spin up a transient pool.
-  if (opts.pool != nullptr) {
-    return opts.pool->num_threads() > 1 ? opts.pool : nullptr;
-  }
-  int n = ResolveNumThreads(opts.num_threads);
-  if (n <= 1) return nullptr;
-  *holder = std::make_unique<ThreadPool>(n);
-  return holder->get();
-}
-
 }  // namespace
 
 // ---- file utilities ----------------------------------------------------
@@ -464,10 +448,8 @@ int SweepStaleTempFiles(const std::string& dir) {
 
 // ---- whole-store snapshots --------------------------------------------
 
-Status EncodeStoreSnapshot(const DocumentStore& store,
-                           const SnapshotOptions& opts, std::string* out) {
-  std::unique_ptr<ThreadPool> pool_holder;
-  ThreadPool* pool = MakePool(opts, &pool_holder);
+Status EncodeStoreSnapshot(const DocumentStore& store, ThreadPool* pool,
+                           std::string* out) {
   DT_RETURN_NOT_OK(WriteHeader(kKindStore, out));
   BinaryWriter w(out);
   w.PutString(store.db_name());
@@ -479,16 +461,13 @@ Status EncodeStoreSnapshot(const DocumentStore& store,
     w.PutString(name);
     // Snapshot through a view: the write walks one immutable version,
     // consistent even if a writer publishes mid-save.
-    DT_RETURN_NOT_OK(WriteCollectionSection(coll->GetView(), pool,
-                                            opts.docs_per_chunk, out));
+    DT_RETURN_NOT_OK(WriteCollectionSection(coll->GetView(), pool, out));
   }
   return Status::OK();
 }
 
 Result<std::unique_ptr<DocumentStore>> DecodeStoreSnapshot(
-    std::string_view buf, const SnapshotOptions& opts) {
-  std::unique_ptr<ThreadPool> pool_holder;
-  ThreadPool* pool = MakePool(opts, &pool_holder);
+    std::string_view buf, ThreadPool* pool) {
   BinaryReader r(buf);
   DT_RETURN_NOT_OK(ReadHeader(&r, kKindStore));
   std::string db_name;
@@ -519,45 +498,40 @@ Result<std::unique_ptr<DocumentStore>> DecodeStoreSnapshot(
 }
 
 Status SaveSnapshot(const DocumentStore& store, const std::string& path,
-                    const SnapshotOptions& opts) {
+                    ThreadPool* pool) {
   SweepStaleTempFiles(DirOf(path));
   std::string buf;
-  DT_RETURN_NOT_OK(EncodeStoreSnapshot(store, opts, &buf));
+  DT_RETURN_NOT_OK(EncodeStoreSnapshot(store, pool, &buf));
   return AtomicWriteFile(path, buf);
 }
 
 Result<std::unique_ptr<DocumentStore>> LoadSnapshot(
-    const std::string& path, const SnapshotOptions& opts) {
+    const std::string& path, ThreadPool* pool) {
   SweepStaleTempFiles(DirOf(path));
   std::string buf;
   DT_RETURN_NOT_OK(ReadFileToString(path, &buf));
-  return DecodeStoreSnapshot(buf, opts);
+  return DecodeStoreSnapshot(buf, pool);
 }
 
 // ---- single-collection snapshots --------------------------------------
 
-Status EncodeCollectionSnapshot(const CollectionView& view,
-                                const SnapshotOptions& opts,
+Status EncodeCollectionSnapshot(const CollectionView& view, ThreadPool* pool,
                                 std::string* out) {
-  std::unique_ptr<ThreadPool> pool_holder;
-  ThreadPool* pool = MakePool(opts, &pool_holder);
   DT_RETURN_NOT_OK(WriteHeader(kKindCollection, out));
-  return WriteCollectionSection(view, pool, opts.docs_per_chunk, out);
+  return WriteCollectionSection(view, pool, out);
 }
 
 Status SaveSnapshot(const Collection& coll, const std::string& path,
-                    const SnapshotOptions& opts) {
+                    ThreadPool* pool) {
   SweepStaleTempFiles(DirOf(path));
   std::string buf;
-  DT_RETURN_NOT_OK(EncodeCollectionSnapshot(coll.GetView(), opts, &buf));
+  DT_RETURN_NOT_OK(EncodeCollectionSnapshot(coll.GetView(), pool, &buf));
   return AtomicWriteFile(path, buf);
 }
 
 Result<std::unique_ptr<Collection>> LoadCollectionSnapshot(
-    const std::string& path, const SnapshotOptions& opts) {
+    const std::string& path, ThreadPool* pool) {
   SweepStaleTempFiles(DirOf(path));
-  std::unique_ptr<ThreadPool> pool_holder;
-  ThreadPool* pool = MakePool(opts, &pool_holder);
   std::string buf;
   DT_RETURN_NOT_OK(ReadFileToString(path, &buf));
   BinaryReader r(buf);
@@ -569,41 +543,6 @@ Result<std::unique_ptr<Collection>> LoadCollectionSnapshot(
                               " trailing bytes after collection");
   }
   return coll;
-}
-
-// ---- member wrappers ---------------------------------------------------
-
-Status DocumentStore::Save(const std::string& path,
-                           const SnapshotOptions& opts) const {
-  return SaveSnapshot(*this, path, opts);
-}
-Status DocumentStore::Save(const std::string& path) const {
-  return SaveSnapshot(*this, path, SnapshotOptions{});
-}
-
-Result<std::unique_ptr<DocumentStore>> DocumentStore::Open(
-    const std::string& path, const SnapshotOptions& opts) {
-  return LoadSnapshot(path, opts);
-}
-Result<std::unique_ptr<DocumentStore>> DocumentStore::Open(
-    const std::string& path) {
-  return LoadSnapshot(path, SnapshotOptions{});
-}
-
-Status Collection::Save(const std::string& path,
-                        const SnapshotOptions& opts) const {
-  return SaveSnapshot(*this, path, opts);
-}
-Status Collection::Save(const std::string& path) const {
-  return SaveSnapshot(*this, path, SnapshotOptions{});
-}
-
-Result<std::unique_ptr<Collection>> Collection::Open(
-    const std::string& path, const SnapshotOptions& opts) {
-  return LoadCollectionSnapshot(path, opts);
-}
-Result<std::unique_ptr<Collection>> Collection::Open(const std::string& path) {
-  return LoadCollectionSnapshot(path, SnapshotOptions{});
 }
 
 }  // namespace dt::storage

@@ -37,11 +37,11 @@
 ///                        u32 doc count + u64 payload bytes
 ///     chunk payloads     per document: u64 id + encoded DocValue
 ///
-/// Documents are grouped into fixed-size chunks (`docs_per_chunk`)
-/// that encode and decode in parallel on a thread pool. Chunk
-/// boundaries depend only on document order and the chunk size, never
-/// on thread scheduling, so the bytes written are identical for every
-/// `num_threads` and save -> load -> save is byte-identical.
+/// Documents are grouped into fixed-size chunks (`kDocsPerChunk`)
+/// that encode and decode in parallel on a thread pool when one is
+/// given. Chunk boundaries depend only on document order, never on
+/// thread scheduling, so the bytes written are identical for every
+/// pool size and save -> load -> save is byte-identical.
 ///
 /// Load never trusts the input: every length is bounds-checked and a
 /// truncated or corrupt file comes back as `Status::Corruption` (file
@@ -62,37 +62,32 @@ class ThreadPool;
 
 namespace dt::storage {
 
-/// Knobs for snapshot save/load.
-struct SnapshotOptions {
-  /// Threads for chunk encode/decode: 1 = serial, <= 0 = all hardware
-  /// threads. Output bytes are identical for every value.
-  int num_threads = 1;
-  /// Documents per encode/decode chunk (the parallelism grain).
-  int docs_per_chunk = 512;
-  /// Borrowed worker pool; when set it carries the chunk work and
-  /// `num_threads` is ignored (the facade shares one cached pool across
-  /// planner and snapshot calls instead of constructing per operation).
-  dt::ThreadPool* pool = nullptr;
-};
+/// Documents per encode/decode chunk (the parallelism grain).
+constexpr size_t kDocsPerChunk = 512;
+
+// Every entry point below encodes or decodes its chunks on `pool` when
+// non-null and serially otherwise; the bytes are the same either way.
 
 // ---- Whole-store snapshots ----
 
 /// Writes `store` to `path` (via a temp file + rename, so a crash
 /// mid-save cannot truncate an existing snapshot).
 Status SaveSnapshot(const DocumentStore& store, const std::string& path,
-                    const SnapshotOptions& opts = {});
+                    dt::ThreadPool* pool = nullptr);
 
-/// Reads a store snapshot written by `SaveSnapshot`.
+/// Reads a store snapshot written by `SaveSnapshot`. Collections come
+/// back with their original options, documents, ids and (rebuilt)
+/// secondary indexes.
 Result<std::unique_ptr<DocumentStore>> LoadSnapshot(
-    const std::string& path, const SnapshotOptions& opts = {});
+    const std::string& path, dt::ThreadPool* pool = nullptr);
 
 // ---- Single-collection snapshots ----
 
 Status SaveSnapshot(const Collection& coll, const std::string& path,
-                    const SnapshotOptions& opts = {});
+                    dt::ThreadPool* pool = nullptr);
 
 Result<std::unique_ptr<Collection>> LoadCollectionSnapshot(
-    const std::string& path, const SnapshotOptions& opts = {});
+    const std::string& path, dt::ThreadPool* pool = nullptr);
 
 /// Encodes a single-collection snapshot of one immutable `view` — the
 /// unit an incremental checkpoint writes per dirty collection (the
@@ -100,16 +95,15 @@ Result<std::unique_ptr<Collection>> LoadCollectionSnapshot(
 /// writers). Bytes are identical to `SaveSnapshot(coll, ...)` taken at
 /// the same version.
 Status EncodeCollectionSnapshot(const CollectionView& view,
-                                const SnapshotOptions& opts,
-                                std::string* out);
+                                dt::ThreadPool* pool, std::string* out);
 
 // ---- In-memory variants (testing; embedding in other streams) ----
 
-Status EncodeStoreSnapshot(const DocumentStore& store,
-                           const SnapshotOptions& opts, std::string* out);
+Status EncodeStoreSnapshot(const DocumentStore& store, dt::ThreadPool* pool,
+                           std::string* out);
 
 Result<std::unique_ptr<DocumentStore>> DecodeStoreSnapshot(
-    std::string_view buf, const SnapshotOptions& opts = {});
+    std::string_view buf, dt::ThreadPool* pool = nullptr);
 
 // ---- File utilities (shared with the WAL/recovery layer) ----
 

@@ -91,9 +91,7 @@ void RunInterleaving(const std::vector<DedupRecord>& corpus, uint64_t seed,
   auto streamed = sc.Entities(pool);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
 
-  ConsolidationOptions batch_opts = opts;
-  batch_opts.pool = pool;
-  auto batch = Consolidate(shuffled, batch_opts);
+  auto batch = Consolidate(shuffled, opts, nullptr, pool);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
   ExpectByteIdentical(*batch, *streamed, "seed " + std::to_string(seed));

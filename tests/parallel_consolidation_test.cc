@@ -1,5 +1,5 @@
 /// Determinism contract of the parallel consolidation engine: for any
-/// `num_threads`, candidate pairs, blocking stats and the consolidated
+/// pool size, candidate pairs, blocking stats and the consolidated
 /// clusters are identical to the serial run.
 
 #include <gtest/gtest.h>
@@ -73,18 +73,17 @@ TEST(ParallelBlockingTest, CandidatePairsMatchSerialForAnyThreadCount) {
 
 TEST(ParallelConsolidationTest, ClustersMatchSerialWithFourThreads) {
   auto records = TestRecords(400, 21);
-  ConsolidationOptions serial_opts;
-  serial_opts.blocking.qgram_size = 2;
+  ConsolidationOptions opts;
+  opts.blocking.qgram_size = 2;
   ConsolidationStats serial_stats;
-  auto serial = Consolidate(records, serial_opts, &serial_stats);
+  auto serial = Consolidate(records, opts, &serial_stats);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_GT(serial_stats.pairs_scored, 0);
   ASSERT_GT(serial_stats.pairs_matched, 0);
 
-  ConsolidationOptions par_opts = serial_opts;
-  par_opts.num_threads = 4;
+  ThreadPool pool(4);
   ConsolidationStats par_stats;
-  auto parallel = Consolidate(records, par_opts, &par_stats);
+  auto parallel = Consolidate(records, opts, &par_stats, &pool);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   ExpectSameEntities(*serial, *parallel);
@@ -97,15 +96,14 @@ TEST(ParallelConsolidationTest, ClustersMatchSerialWithFourThreads) {
 
 TEST(ParallelConsolidationTest, MergePoliciesStayDeterministic) {
   auto records = TestRecords(150, 3);
+  ThreadPool pool(3);
   for (auto policy : {MergePolicy::kMajority, MergePolicy::kLongest,
                       MergePolicy::kMostRecent}) {
-    ConsolidationOptions serial_opts;
-    serial_opts.merge_policy = policy;
-    auto serial = Consolidate(records, serial_opts);
+    ConsolidationOptions opts;
+    opts.merge_policy = policy;
+    auto serial = Consolidate(records, opts);
     ASSERT_TRUE(serial.ok());
-    ConsolidationOptions par_opts = serial_opts;
-    par_opts.num_threads = 3;
-    auto parallel = Consolidate(records, par_opts);
+    auto parallel = Consolidate(records, opts, nullptr, &pool);
     ASSERT_TRUE(parallel.ok());
     SCOPED_TRACE(MergePolicyName(policy));
     ExpectSameEntities(*serial, *parallel);

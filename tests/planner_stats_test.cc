@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "storage/collection.h"
@@ -85,12 +86,13 @@ TEST(PlannerO1Test, PointFindEntryCountsBoundedSerialAndParallel) {
   }
   auto pred = Predicate::Eq("bucket", DocValue::Str("hot"));
   std::vector<DocId> serial_ids;
+  ThreadPool pool(4);
   for (int threads : {1, 4}) {
     ExecStats stats;
     FindOptions opts;
     opts.order_by = "name";
     opts.limit = 10;
-    opts.num_threads = threads;
+    opts.pool = threads > 1 ? &pool : nullptr;
     opts.stats = &stats;
     auto got = Find(coll.GetView(), pred, opts);
     ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "datagen/webtext_gen.h"
 #include "fusion/data_tamer.h"
 #include "query/planner.h"
@@ -282,8 +283,9 @@ TEST(PlannerTest, ParallelScanIdenticalToSerial) {
                              Predicate::Eq("type", DocValue::Str("Person"))});
   FindOptions serial;
   serial.use_indexes = false;
+  ThreadPool pool(4);
   FindOptions par = serial;
-  par.num_threads = 4;
+  par.pool = &pool;
   auto a = Find(coll.GetView(), pred, serial);
   auto b = Find(coll.GetView(), pred, par);
   ASSERT_TRUE(a.ok());
@@ -808,6 +810,7 @@ TEST(PlannerOracleDifferentialTest, RandomTreesMatchOracle) {
   fusion::DataTamer unindexed;
   corpus.Ingest(&unindexed, /*with_indexes=*/false);
 
+  ThreadPool pool(4);
   int64_t comparisons = 0;
   for (bool with_indexes : {true, false}) {
     const fusion::DataTamer& tamer = with_indexes ? indexed : unindexed;
@@ -819,7 +822,7 @@ TEST(PlannerOracleDifferentialTest, RandomTreesMatchOracle) {
       std::vector<DocId> expected = OracleFind(coll, pred);
       for (int threads : {1, 4}) {
         FindOptions opts;
-        opts.num_threads = threads;
+        opts.pool = threads > 1 ? &pool : nullptr;
         auto got = Find(coll.GetView(), pred, opts);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_EQ(*got, expected)
@@ -844,6 +847,7 @@ TEST(PlannerOracleDifferentialTest, RandomOrdersLimitsAndCompoundIndexes) {
   // indexes the And-matcher can prefer (and order-covering prefixes).
   fusion::DataTamer compound;
   corpus.Ingest(&compound, /*with_indexes=*/true);
+  ThreadPool pool(4);
   auto* compound_coll = compound.entity_collection();
   ASSERT_TRUE(compound_coll->CreateIndex({"type", "name"}).ok());
   ASSERT_TRUE(
@@ -886,7 +890,7 @@ TEST(PlannerOracleDifferentialTest, RandomOrdersLimitsAndCompoundIndexes) {
           OracleOrdered(coll, pred, order_by, desc, limit);
       for (int threads : {1, 4}) {
         FindOptions opts;
-        opts.num_threads = threads;
+        opts.pool = threads > 1 ? &pool : nullptr;
         opts.order_by = order_by;
         opts.order_desc = desc;
         opts.limit = limit;
@@ -963,6 +967,7 @@ TEST(PaginationTest, StitchedPagesMatchOneShotOnEveryAccessPath) {
   Collection coll = MakeEntities();
   ASSERT_TRUE(coll.CreateIndex("name").ok());
   ASSERT_TRUE(coll.CreateIndex({"type", "name"}).ok());
+  ThreadPool pool(4);
   struct Case {
     const char* label;
     PredicatePtr pred;
@@ -994,7 +999,7 @@ TEST(PaginationTest, StitchedPagesMatchOneShotOnEveryAccessPath) {
     opts.order_by = c.order_by;
     opts.order_desc = c.desc;
     opts.limit = c.limit;
-    opts.num_threads = c.threads;
+    opts.pool = c.threads > 1 ? &pool : nullptr;
     opts.use_indexes = c.use_indexes;
     std::vector<DocId> expected =
         OracleOrdered(coll, c.pred, c.order_by, c.desc, c.limit);
@@ -1253,6 +1258,7 @@ TEST(PaginationTest, RandomizedStitchDifferential) {
                                          "no_such_field"};
   const fusion::DataTamer* tamers[] = {&indexed, &compound};
   constexpr int64_t kPageSizes[] = {1, 7, 13, 100000};
+  ThreadPool pool(4);
   int64_t comparisons = 0;
   for (int cfg = 0; cfg < 2; ++cfg) {
     const Collection& coll = *tamers[cfg]->entity_collection();
@@ -1279,7 +1285,7 @@ TEST(PaginationTest, RandomizedStitchDifferential) {
         }
         for (int threads : {1, 4}) {
           FindOptions opts;
-          opts.num_threads = threads;
+          opts.pool = threads > 1 ? &pool : nullptr;
           opts.order_by = order_by;
           opts.order_desc = desc;
           opts.limit = limit;

@@ -556,7 +556,7 @@ TEST(ExecuteValidationTest, ThreadCountOutsideTheFacadeBudgetIsRejected) {
   req.op = QueryOp::kFind;
   req.collection = "entity";
   req.predicate = Predicate::Eq("type", DocValue::Str("Movie"));
-  req.use_indexes = false;  // a COLLSCAN would build a pool this wide
+  req.use_indexes = false;  // the COLLSCAN path, where threads matter
   for (int64_t threads : {int64_t{64}, int64_t{2}, int64_t{-1}}) {
     req.num_threads = threads;
     Status st = tamer.Execute(req).status();
@@ -567,6 +567,64 @@ TEST(ExecuteValidationTest, ThreadCountOutsideTheFacadeBudgetIsRejected) {
     auto found = tamer.Execute(req);
     ASSERT_TRUE(found.ok()) << threads << ": " << found.status().ToString();
     EXPECT_EQ(found->ids.size(), 1u);
+  }
+
+  // A 4-thread facade: 1 scans serially, 0 and 2..4 ride the facade's
+  // pool, and every admitted count returns the same ids.
+  fusion::DataTamerOptions four;
+  four.num_threads = 4;
+  fusion::DataTamer wide(four);
+  for (int i = 0; i < 300; ++i) {
+    wide.entity_collection()->Insert(
+        DocBuilder().Set("type", i % 3 == 0 ? "Movie" : "Person").Build());
+  }
+  std::vector<storage::DocId> serial_ids;
+  for (int64_t threads : {int64_t{1}, int64_t{0}, int64_t{2}, int64_t{4}}) {
+    req.num_threads = threads;
+    auto found = wide.Execute(req);
+    ASSERT_TRUE(found.ok()) << threads << ": " << found.status().ToString();
+    if (threads == 1) {
+      serial_ids = found->ids;
+      EXPECT_EQ(serial_ids.size(), 100u);
+    } else {
+      EXPECT_EQ(found->ids, serial_ids) << threads;
+    }
+  }
+  req.num_threads = 5;
+  Status st = wide.Execute(req).status();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
+TEST(ExecuteStatsTest, FilteredCountReportsEveryFetchedDocument) {
+  fusion::DataTamer tamer;
+  constexpr int kMovies = 40;
+  for (int i = 0; i < 100; ++i) {
+    tamer.entity_collection()->Insert(
+        DocBuilder()
+            .Set("type", i < kMovies ? "Movie" : "Person")
+            .Set("name", "n" + std::to_string(i % 7))
+            .Build());
+  }
+  ASSERT_TRUE(tamer.entity_collection()->CreateIndex("type").ok());
+  QueryRequest req;
+  req.collection = "entity";
+  req.group_path = "name";
+  req.k = 100;  // every group
+  req.predicate = Predicate::Eq("type", DocValue::Str("Movie"));
+  // Both the index-routed fold and the full scan fetch each match to
+  // read its group key.
+  for (QueryOp op : {QueryOp::kCount, QueryOp::kTopK}) {
+    for (bool use_indexes : {true, false}) {
+      req.op = op;
+      req.use_indexes = use_indexes;
+      auto resp = tamer.Execute(req);
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      int64_t total = 0;
+      for (const CountRow& row : resp->groups) total += row.count;
+      EXPECT_EQ(total, kMovies);
+      EXPECT_GE(resp->stats.docs_examined, kMovies)
+          << QueryOpName(op) << " use_indexes=" << use_indexes;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "common/strutil.h"
+#include "common/thread_pool.h"
 #include "dedup/blocking.h"
 #include "ingest/csv.h"
 #include "ingest/json.h"
@@ -217,6 +218,7 @@ query::PredicatePtr RandomPredicate(Rng* rng, int depth) {
 TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
   using planner_fuzz::kWords;
   Rng rng(GetParam());
+  ThreadPool pool(4);
   for (int round = 0; round < 5; ++round) {
     storage::Collection coll("dt.fuzz");
     for (int i = 0; i < 120; ++i) {
@@ -283,7 +285,7 @@ TEST_P(PlannerOracleFuzz, IndexedExecutionMatchesScanOracle) {
       }
       for (int threads : {1, 4}) {
         query::FindOptions opts;
-        opts.num_threads = threads;
+        opts.pool = threads > 1 ? &pool : nullptr;
         opts.order_by = order_by;
         opts.order_desc = desc;
         opts.limit = limit;

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "datagen/webtext_gen.h"
 #include "fusion/data_tamer.h"
 #include "query/planner.h"
@@ -74,8 +75,8 @@ TEST(CollectionSnapshotTest, RoundTripsDocsOptionsIndexesAndNextId) {
   ASSERT_TRUE(coll.Remove(500).ok());
 
   TempPath f("coll");
-  ASSERT_TRUE(coll.Save(f.path()).ok());
-  auto loaded = Collection::Open(f.path());
+  ASSERT_TRUE(SaveSnapshot(coll, f.path()).ok());
+  auto loaded = LoadCollectionSnapshot(f.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ((*loaded)->ns(), "dt.widgets");
@@ -103,10 +104,10 @@ TEST(CollectionSnapshotTest, SaveLoadSaveIsByteIdentical) {
   ASSERT_TRUE(coll.CreateIndex("name").ok());
 
   TempPath f1("first"), f2("second");
-  ASSERT_TRUE(coll.Save(f1.path()).ok());
-  auto loaded = Collection::Open(f1.path());
+  ASSERT_TRUE(SaveSnapshot(coll, f1.path()).ok());
+  auto loaded = LoadCollectionSnapshot(f1.path());
   ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE((*loaded)->Save(f2.path()).ok());
+  ASSERT_TRUE(SaveSnapshot(**loaded, f2.path()).ok());
 
   const std::string first = Slurp(f1.path());
   ASSERT_FALSE(first.empty());
@@ -132,8 +133,8 @@ TEST(CollectionSnapshotTest, EpochLineageRoundTripsAndOldTokensRejectAfterLoad) 
   ASSERT_FALSE(page->next_token.empty());
 
   TempPath f("lineage");
-  ASSERT_TRUE(coll.Save(f.path()).ok());
-  auto loaded = Collection::Open(f.path());
+  ASSERT_TRUE(SaveSnapshot(coll, f.path()).ok());
+  auto loaded = LoadCollectionSnapshot(f.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // The persisted lineage is adopted exactly: same incarnation, same
@@ -167,8 +168,8 @@ TEST(CollectionSnapshotTest, CompoundIndexSurvivesSaveLoadSaveByteIdentically) {
   ASSERT_TRUE(coll.CreateIndex({"flag", "nested.a", "seq"}).ok());
 
   TempPath f1("compound1"), f2("compound2");
-  ASSERT_TRUE(coll.Save(f1.path()).ok());
-  auto loaded = Collection::Open(f1.path());
+  ASSERT_TRUE(SaveSnapshot(coll, f1.path()).ok());
+  auto loaded = LoadCollectionSnapshot(f1.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   const CollectionView view = (*loaded)->GetView();
@@ -182,7 +183,7 @@ TEST(CollectionSnapshotTest, CompoundIndexSurvivesSaveLoadSaveByteIdentically) {
   const DocValue key = DocValue::Str("entity-42");
   EXPECT_EQ(idx->Lookup(key), want.IndexOn("name,score")->Lookup(key));
 
-  ASSERT_TRUE((*loaded)->Save(f2.path()).ok());
+  ASSERT_TRUE(SaveSnapshot(**loaded, f2.path()).ok());
   const std::string first = Slurp(f1.path());
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, Slurp(f2.path()));
@@ -193,14 +194,14 @@ TEST(CollectionSnapshotTest, OlderVersionsAndImplausibleIndexSpecsCorrupt) {
   coll.Insert(DocBuilder().Set("a", 1).Build());
   ASSERT_TRUE(coll.CreateIndex({"a", "seq"}).ok());
   TempPath f("badfile");
-  ASSERT_TRUE(coll.Save(f.path()).ok());
+  ASSERT_TRUE(SaveSnapshot(coll, f.path()).ok());
   const std::string saved = Slurp(f.path());
   // Loads the saved file with `n` bytes at `at` overwritten by `patch`.
   auto load_patched = [&](size_t at, const void* patch, size_t n) {
     std::string buf = saved;
     std::memcpy(&buf[at], patch, n);
     Spit(f.path(), buf);
-    return Collection::Open(f.path()).status();
+    return LoadCollectionSnapshot(f.path()).status();
   };
   for (uint16_t version = 1; version < kCodecVersion; ++version) {
     Status st = load_patched(4, &version, sizeof version);  // after the magic
@@ -228,12 +229,11 @@ TEST(StoreSnapshotTest, TenThousandDocStoreRoundTripsByteIdentically) {
   FillCollection(entity, 2500, 321);
   ASSERT_TRUE(entity->CreateIndex("name").ok());
 
-  SnapshotOptions sopts;
   std::string first, second;
-  ASSERT_TRUE(EncodeStoreSnapshot(store, sopts, &first).ok());
-  auto loaded = DecodeStoreSnapshot(first, sopts);
+  ASSERT_TRUE(EncodeStoreSnapshot(store, nullptr, &first).ok());
+  auto loaded = DecodeStoreSnapshot(first);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(EncodeStoreSnapshot(**loaded, sopts, &second).ok());
+  ASSERT_TRUE(EncodeStoreSnapshot(**loaded, nullptr, &second).ok());
   EXPECT_EQ(first, second);  // byte-identical round trip at 10k+ docs
 
   EXPECT_EQ((*loaded)->db_name(), "dt");
@@ -252,29 +252,28 @@ TEST(StoreSnapshotTest, ParallelBytesMatchSerialAndDecodeAgrees) {
   DocumentStore store("dt");
   Collection* coll = store.GetOrCreateCollection("instance");
   FillCollection(coll, 5000, 55);
+  // 5000 docs span 10 chunks, the last one short.
+  static_assert((5000 + kDocsPerChunk - 1) / kDocsPerChunk == 10 &&
+                    5000 % kDocsPerChunk != 0,
+                "the store must cover several full chunks and a short one");
 
-  SnapshotOptions serial;  // num_threads = 1
-  SnapshotOptions parallel;
-  parallel.num_threads = 4;
-  parallel.docs_per_chunk = 256;
-  SnapshotOptions parallel_same_chunks = serial;
-  parallel_same_chunks.num_threads = 4;
-
+  ThreadPool pool(4);
   std::string serial_bytes, parallel_bytes;
-  ASSERT_TRUE(EncodeStoreSnapshot(store, serial, &serial_bytes).ok());
-  ASSERT_TRUE(
-      EncodeStoreSnapshot(store, parallel_same_chunks, &parallel_bytes).ok());
-  // Same chunk size -> identical bytes regardless of thread count.
+  ASSERT_TRUE(EncodeStoreSnapshot(store, nullptr, &serial_bytes).ok());
+  ASSERT_TRUE(EncodeStoreSnapshot(store, &pool, &parallel_bytes).ok());
+  // Chunk boundaries depend only on document order: identical bytes
+  // regardless of the pool.
   EXPECT_EQ(serial_bytes, parallel_bytes);
 
-  // A different chunk size changes framing but not content.
-  std::string small_chunks;
-  ASSERT_TRUE(EncodeStoreSnapshot(store, parallel, &small_chunks).ok());
-  auto loaded = DecodeStoreSnapshot(small_chunks, parallel);
+  // Parallel decode agrees with the source and re-encodes identically.
+  auto loaded = DecodeStoreSnapshot(parallel_bytes, &pool);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   auto lc = (*loaded)->GetCollection("instance");
   ASSERT_TRUE(lc.ok());
   ExpectSameDocs(*coll, **lc);
+  std::string reencoded;
+  ASSERT_TRUE(EncodeStoreSnapshot(**loaded, &pool, &reencoded).ok());
+  EXPECT_EQ(reencoded, serial_bytes);
 }
 
 TEST(StoreSnapshotTest, MissingFileIsIOErrorAndCorruptFileIsCorruption) {
@@ -284,19 +283,19 @@ TEST(StoreSnapshotTest, MissingFileIsIOErrorAndCorruptFileIsCorruption) {
   DocumentStore store("dt");
   FillCollection(store.GetOrCreateCollection("instance"), 50, 5);
   std::string buf;
-  ASSERT_TRUE(EncodeStoreSnapshot(store, {}, &buf).ok());
+  ASSERT_TRUE(EncodeStoreSnapshot(store, nullptr, &buf).ok());
 
   // Every truncation of the snapshot fails cleanly.
   for (size_t cut : {size_t{0}, size_t{4}, size_t{9}, buf.size() / 2,
                      buf.size() - 1}) {
-    auto r = DecodeStoreSnapshot(std::string_view(buf.data(), cut), {});
+    auto r = DecodeStoreSnapshot(std::string_view(buf.data(), cut));
     EXPECT_FALSE(r.ok()) << "cut=" << cut;
     EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
   }
   // A collection snapshot is not a store snapshot.
   Collection coll("dt.x", {});
   TempPath f("kind");
-  ASSERT_TRUE(coll.Save(f.path()).ok());
+  ASSERT_TRUE(SaveSnapshot(coll, f.path()).ok());
   auto wrong_kind = LoadSnapshot(f.path());
   EXPECT_TRUE(wrong_kind.status().IsCorruption());
 }
@@ -307,7 +306,7 @@ TEST(StoreSnapshotTest, MutatedSnapshotsFailOnlyWithCorruption) {
   FillCollection(coll, 200, 9);
   ASSERT_TRUE(coll->CreateIndex("name").ok());
   std::string buf;
-  ASSERT_TRUE(EncodeStoreSnapshot(store, {}, &buf).ok());
+  ASSERT_TRUE(EncodeStoreSnapshot(store, nullptr, &buf).ok());
 
   Rng rng(4242);
   for (int trial = 0; trial < 300; ++trial) {
@@ -317,7 +316,7 @@ TEST(StoreSnapshotTest, MutatedSnapshotsFailOnlyWithCorruption) {
       mutated[rng.Uniform(mutated.size())] =
           static_cast<char>(rng.Uniform(256));
     }
-    auto r = DecodeStoreSnapshot(mutated, {});
+    auto r = DecodeStoreSnapshot(mutated);
     if (!r.ok()) {
       // Whatever the mutation hit (doc bytes, ids, chunk directory,
       // index metadata), a bad file must always read as kCorruption.

@@ -301,8 +301,8 @@ TEST(StatsSnapshotTest, StatsSurviveRoundTripByteIdentically) {
   for (DocId id = 1; id <= 10; ++id) ASSERT_TRUE(coll.Remove(id).ok());
 
   TempPath f1("rt1"), f2("rt2");
-  ASSERT_TRUE(coll.Save(f1.path()).ok());
-  auto loaded = Collection::Open(f1.path());
+  ASSERT_TRUE(SaveSnapshot(coll, f1.path()).ok());
+  auto loaded = LoadCollectionSnapshot(f1.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // The loaded indexes carry the writer's stats verbatim — not the
@@ -317,7 +317,7 @@ TEST(StatsSnapshotTest, StatsSurviveRoundTripByteIdentically) {
         << "stats mismatch on index " << orig[i]->field_path();
   }
 
-  ASSERT_TRUE((*loaded)->Save(f2.path()).ok());
+  ASSERT_TRUE(SaveSnapshot(**loaded, f2.path()).ok());
   EXPECT_EQ(Slurp(f1.path()), Slurp(f2.path()));
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "storage/collection.h"
+#include "storage/snapshot.h"
 #include "test_files.h"
 
 namespace dt::query {
@@ -257,7 +258,7 @@ TEST(VersionedTextIndexTest, BuildingTheIndexIsNotAMutation) {
   Collection coll = MakeFragments();
   TempPath before_path("text_index_before");
   TempPath after_path("text_index_after");
-  ASSERT_TRUE(coll.Save(before_path.path()).ok());
+  ASSERT_TRUE(storage::SaveSnapshot(coll, before_path.path()).ok());
   const uint64_t epoch = coll.mutation_epoch();
   const uint64_t version = coll.version_id();
 
@@ -272,9 +273,9 @@ TEST(VersionedTextIndexTest, BuildingTheIndexIsNotAMutation) {
 
   // Nothing persisted changes, and a loaded collection starts without
   // the index.
-  ASSERT_TRUE(coll.Save(after_path.path()).ok());
+  ASSERT_TRUE(storage::SaveSnapshot(coll, after_path.path()).ok());
   EXPECT_TRUE(Slurp(before_path.path()) == Slurp(after_path.path()));
-  auto loaded = Collection::Open(after_path.path());
+  auto loaded = storage::LoadCollectionSnapshot(after_path.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->GetView().TextIndexOn("text"), nullptr);
 }

@@ -1,6 +1,6 @@
 /// Tests for the fixed-size worker pool: every index visited exactly
 /// once, errors and exceptions surface as Status, nested loops run
-/// inline without deadlock.
+/// inline without deadlock, and several callers can share one pool.
 
 #include "common/thread_pool.h"
 
@@ -9,6 +9,8 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace dt {
@@ -131,6 +133,45 @@ TEST(ThreadPoolTest, NestedErrorPropagatesThroughOuterLoop) {
   });
   EXPECT_TRUE(st.IsNotFound());
   EXPECT_EQ(st.message(), "inner 3/5");
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
+  // The facade's pool serves every caller: 4 external threads issue
+  // loops on it at once, and each loop must see only its own indexes.
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 50;
+  constexpr size_t kN = 2000;
+  std::vector<Status> failures(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &failures, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<uint64_t> out(kN, 0);
+        const uint64_t salt = static_cast<uint64_t>(c * kRounds + round);
+        Status st = pool.ParallelFor(0, kN, [&](size_t i) -> Status {
+          out[i] += i * 7 + salt;
+          return Status::OK();
+        });
+        if (!st.ok()) {
+          failures[c] = st;
+          return;
+        }
+        for (size_t i = 0; i < kN; ++i) {
+          if (out[i] != i * 7 + salt) {
+            failures[c] = Status::Internal(
+                "caller " + std::to_string(c) + " round " +
+                std::to_string(round) + " index " + std::to_string(i));
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_TRUE(failures[c].ok()) << failures[c].ToString();
+  }
 }
 
 }  // namespace
