@@ -9,57 +9,32 @@
 ///   C. Synonym dictionary on/off.
 ///   D. Expert vote count vs mapping accuracy and cost.
 ///   E. Index-backed vs scan point lookups in the document store.
-
-///   G. Serial vs multi-threaded candidate generation + pair scoring
-///      (the consolidation hot path on the thread pool).
-///   H. Snapshot cold start (binary save/load) vs re-ingest.
-///   I. Query planner: index-routed vs full-scan `Find` at 10k-100k
-///      docs (the structured read path of the demo queries).
-///   J. Cursor executor: sort/limit push-down (order-covering index
-///      scan + LIMIT) vs materialize-then-sort, and compound vs
-///      intersected single-field indexes.
-///   K. Resumable cursors: token-resumed page fetches vs materializing
-///      the full ordered result, and the ordered-`Or` MERGE_UNION vs
-///      the unordered-union TOPK fallback.
-///   L. Reader throughput (QPS, p99 latency) at 4 reader threads with
-///      0 vs 1 concurrent writer — the cost of the versioned-read
-///      concurrency model under write churn.
-///   M. Network serving: sustained QPS and p99 latency over the
-///      loopback RPC server with 4 pipelining clients (the wire
-///      protocol + event loop + admission path end to end).
-///   N. Durability: acknowledged-insert throughput under the WAL
-///      durability modes (group commit vs strict fsync), plus the
-///      incremental-checkpoint win (re-encode dirty collections only),
-///      each run closed out by a cold-reopen recovery check.
-///   O. Planner statistics: O(1) planning off histograms/sketches vs
-///      bounded exact index counting.
+///   F. Merge policies on conflicting composite fields.
 ///   P. Streaming ingest: per-record incremental consolidation cost
 ///      across residencies (must stay ~flat — the candidate bound at
 ///      work) vs batch re-consolidation (superlinear), streamed-vs-
 ///      batch byte parity at every scale, and reader QPS retention
 ///      under a live wire ingest stream.
 ///
+/// The storage, query, serving and durability layers are measured by
+/// the repository benchmark (`perfbench/`, per-layer metrics such as
+/// `planner.*`, `executor.*`, `wal.*`, `checkpoint.ms` and
+/// `server.*`); their correctness bounds live in the ctest suites.
+///
 /// `--json <path>` additionally writes the headline timings as a flat
-/// JSON object (the per-commit artifact CI uploads to track the perf
-/// trajectory). `--only <letters>` runs a subset of sections (the
-/// bench-smoke ctest entries run `--only K`, `--only M` and
-/// `--only KMN`), `--fragments <n>` overrides section K's corpus
-/// scale, and `--require <p1,p2,...>` re-parses the written JSON and
-/// fails unless every listed key prefix is present — the smoke-level
-/// guarantee that the CI artifact stays well-formed and populated.
+/// JSON object (the per-commit artifact CI uploads). `--only <letters>`
+/// runs a subset of sections (the bench-smoke ctest entry runs
+/// `--only P`), `--fragments <n>` shrinks section P's corpora, and
+/// `--require <p1,p2,...>` re-parses the written JSON and fails unless
+/// every listed key prefix is present — the smoke-level guarantee that
+/// the CI artifact stays well-formed and populated.
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
@@ -68,7 +43,6 @@
 #include "datagen/dedup_labels.h"
 #include "dedup/blocking.h"
 #include "dedup/consolidation.h"
-#include "dedup/pair_features.h"
 #include "dedup/record.h"
 #include "dedup/streaming.h"
 #include "expert/expert.h"
@@ -76,12 +50,10 @@
 #include "match/global_schema.h"
 #include "query/planner.h"
 #include "query/predicate.h"
-#include "query/query.h"
 #include "query/request.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/codec.h"
-#include "storage/recovery.h"
 #include "storage/snapshot.h"
 
 namespace {
@@ -95,8 +67,8 @@ std::vector<std::pair<std::string, double>>& JsonMetrics() {
   return metrics;
 }
 
-/// Set by any section that detects a failure (save/load error, parallel
-/// output mismatch); turns into a non-zero exit so CI goes red.
+/// Set by any section that detects a failure (a result mismatch or a
+/// missed bound); turns into a non-zero exit so CI goes red.
 bool& CheckFailed() {
   static bool failed = false;
   return failed;
@@ -292,1156 +264,6 @@ void AblationMergePolicies() {
     std::printf("  %-16s -> price = %s\n", dedup::MergePolicyName(policy),
                 e.fields.at("price").c_str());
   }
-}
-
-void AblationParallelism() {
-  PrintSection("G. serial vs parallel consolidation hot path (4 threads)");
-  std::printf("  (hardware threads available: %d)\n",
-              ResolveNumThreads(0));
-  std::printf("  %-8s %-10s %12s %12s %9s %10s\n", "records", "stage",
-              "serial(ms)", "4-thr(ms)", "speedup", "identical");
-  for (int64_t n : {1600, 6400}) {
-    datagen::DedupLabelOptions opts;
-    opts.num_pairs = n / 2;
-    auto labeled =
-        datagen::GenerateLabeledPairs(textparse::EntityType::kPerson, opts);
-    std::vector<dedup::DedupRecord> records;
-    for (const auto& p : labeled) {
-      records.push_back(p.a);
-      records.push_back(p.b);
-    }
-    dedup::BlockingOptions bopts;
-    bopts.qgram_size = 3;
-
-    ThreadPool pool(4);
-    Timer t1;
-    auto serial_pairs = dedup::GenerateCandidatePairs(records, bopts);
-    double candgen_serial = t1.Millis();
-    Timer t2;
-    auto par_pairs =
-        dedup::GenerateCandidatePairs(records, bopts, nullptr, &pool);
-    double candgen_par = t2.Millis();
-    if (serial_pairs != par_pairs) CheckFailed() = true;
-    std::printf("  %-8zu %-10s %12.1f %12.1f %8.2fx %10s\n", records.size(),
-                "candgen", candgen_serial, candgen_par,
-                candgen_par > 0 ? candgen_serial / candgen_par : 0.0,
-                serial_pairs == par_pairs ? "yes" : "NO");
-
-    std::vector<dedup::PairSignals> serial_sig, par_sig;
-    Timer t3;
-    Status sst = dedup::ComputeAllPairSignals(records, serial_pairs, nullptr,
-                                              &serial_sig);
-    double score_serial = t3.Millis();
-    Timer t4;
-    Status pst = dedup::ComputeAllPairSignals(records, serial_pairs, &pool,
-                                              &par_sig);
-    double score_par = t4.Millis();
-    if (!sst.ok() || !pst.ok()) {
-      std::printf("  %-8zu scoring FAILED: serial=%s parallel=%s\n",
-                  records.size(), sst.ToString().c_str(),
-                  pst.ToString().c_str());
-      CheckFailed() = true;
-      continue;
-    }
-    bool same = serial_sig.size() == par_sig.size();
-    for (size_t k = 0; same && k < serial_sig.size(); ++k) {
-      same = serial_sig[k].RuleScore() == par_sig[k].RuleScore();
-    }
-    if (!same) CheckFailed() = true;
-    std::printf("  %-8zu %-10s %12.1f %12.1f %8.2fx %10s\n", records.size(),
-                "scoring", score_serial, score_par,
-                score_par > 0 ? score_serial / score_par : 0.0,
-                same ? "yes" : "NO");
-    if (n == 6400) {
-      RecordMetric("candgen_serial_ms", candgen_serial);
-      RecordMetric("candgen_4thr_ms", candgen_par);
-      RecordMetric("scoring_serial_ms", score_serial);
-      RecordMetric("scoring_4thr_ms", score_par);
-    }
-  }
-}
-
-void AblationSnapshot() {
-  PrintSection("H. snapshot cold start (binary save/load) vs re-ingest");
-  // Per-process path so concurrent bench runs cannot race on the file.
-  const std::string path =
-      "/tmp/dt_bench_snapshot." + std::to_string(::getpid()) + ".bin";
-  BenchScale scale;
-  scale.num_fragments = 10000;
-
-  // Re-ingest cost: parse + extract + index the corpus from raw text.
-  // text_ingest_seconds times only the ingest loop + index creation,
-  // excluding synthetic corpus generation (a real cold start has the
-  // raw data already).
-  DemoPipeline p = BuildDemoPipeline(scale, /*ingest_text=*/true,
-                                     /*ingest_structured=*/false);
-  double reingest_ms = p.text_ingest_seconds * 1000.0;
-  const auto* entity = p.tamer->entity_collection();
-  int64_t total_docs =
-      p.tamer->instance_collection()->count() + entity->count();
-
-  Timer t_save;
-  Status save_st = p.tamer->SaveSnapshot(path);
-  double save_ms = t_save.Millis();
-  if (!save_st.ok()) {
-    std::printf("  save FAILED: %s\n", save_st.ToString().c_str());
-    CheckFailed() = true;
-    return;
-  }
-  int64_t file_bytes = 0;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    std::fseek(f, 0, SEEK_END);
-    file_bytes = std::ftell(f);
-    std::fclose(f);
-  }
-
-  fusion::DataTamer cold;
-  cold.SetGazetteer(&p.gazetteer);
-  Timer t_load;
-  Status load_st = cold.LoadSnapshot(path);
-  double load_ms = t_load.Millis();
-  if (!load_st.ok()) {
-    std::printf("  load FAILED: %s\n", load_st.ToString().c_str());
-    CheckFailed() = true;
-    std::remove(path.c_str());
-    return;
-  }
-
-  fusion::DataTamerOptions par_opts;
-  par_opts.num_threads = 4;
-  fusion::DataTamer cold4(par_opts);
-  cold4.SetGazetteer(&p.gazetteer);
-  Timer t_load4;
-  Status load4_st = cold4.LoadSnapshot(path);
-  double load4_ms = load4_st.ok() ? t_load4.Millis() : -1;
-
-  bool identical =
-      cold.stats().fragments_ingested == p.tamer->stats().fragments_ingested &&
-      cold.entity_collection()->count() == entity->count() &&
-      cold.entity_collection()->GetView().HasIndex("name");
-
-  std::printf("  docs: %s (instance + entity), snapshot: %.1f MB\n",
-              WithThousandsSep(total_docs).c_str(), file_bytes / 1048576.0);
-  std::printf("  %-28s %10.1f ms\n", "re-ingest (parse + index)", reingest_ms);
-  std::printf("  %-28s %10.1f ms\n", "snapshot save", save_ms);
-  std::printf("  %-28s %10.1f ms   (%.1fx faster than re-ingest)\n",
-              "snapshot load (cold start)", load_ms,
-              load_ms > 0 ? reingest_ms / load_ms : 0.0);
-  if (load4_ms >= 0) {
-    std::printf("  %-28s %10.1f ms\n", "snapshot load (4 threads)", load4_ms);
-  }
-  std::printf("  loaded store identical:      %s\n", identical ? "yes" : "NO");
-  if (!identical || !load4_st.ok()) CheckFailed() = true;
-
-  RecordMetric("snapshot_docs", static_cast<double>(total_docs));
-  RecordMetric("snapshot_file_mb", file_bytes / 1048576.0);
-  RecordMetric("snapshot_reingest_ms", reingest_ms);
-  RecordMetric("snapshot_save_ms", save_ms);
-  RecordMetric("snapshot_load_ms", load_ms);
-  if (load4_ms >= 0) RecordMetric("snapshot_load_4thr_ms", load4_ms);
-  RecordMetric("snapshot_load_speedup_vs_reingest",
-               load_ms > 0 ? reingest_ms / load_ms : 0.0);
-  std::remove(path.c_str());
-}
-
-void AblationPlanner() {
-  PrintSection("I. query planner: index-routed vs full-scan Find");
-  std::printf("  %-9s %12s %12s %12s %9s %10s\n", "docs", "IXSCAN(ms)",
-              "scan(ms)", "scan-4t(ms)", "speedup", "identical");
-  // ~10k entity docs per 1k fragments; the two scales bracket the
-  // acceptance range.
-  for (int64_t fragments : {1000, 10000}) {
-    BenchScale scale;
-    scale.num_fragments = fragments;
-    DemoPipeline p = BuildDemoPipeline(scale, /*ingest_text=*/true,
-                                       /*ingest_structured=*/false);
-    const auto* coll = p.tamer->entity_collection();
-    auto pred = query::Predicate::And(
-        {query::Predicate::Eq("type", storage::DocValue::Str("Movie")),
-         query::Predicate::Eq("name", storage::DocValue::Str("Matilda"))});
-
-    const int reps = 30;
-    Timer t_idx;
-    std::vector<storage::DocId> via_index;
-    for (int i = 0; i < reps; ++i) {
-      via_index = query::Find(coll->GetView(), pred).ValueOrDie();
-    }
-    double idx_ms = t_idx.Millis() / reps;
-
-    query::FindOptions scan_opts;
-    scan_opts.use_indexes = false;
-    Timer t_scan;
-    std::vector<storage::DocId> via_scan;
-    for (int i = 0; i < reps; ++i) {
-      via_scan = query::Find(coll->GetView(), pred, scan_opts).ValueOrDie();
-    }
-    double scan_ms = t_scan.Millis() / reps;
-
-    ThreadPool pool(4);
-    query::FindOptions par_opts = scan_opts;
-    par_opts.pool = &pool;
-    Timer t_par;
-    std::vector<storage::DocId> via_par;
-    for (int i = 0; i < reps; ++i) {
-      via_par = query::Find(coll->GetView(), pred, par_opts).ValueOrDie();
-    }
-    double par_ms = t_par.Millis() / reps;
-
-    const bool identical = via_index == via_scan && via_scan == via_par;
-    if (!identical || via_index.empty()) CheckFailed() = true;
-    std::printf("  %-9s %12.3f %12.3f %12.3f %8.1fx %10s\n",
-                WithThousandsSep(coll->count()).c_str(), idx_ms, scan_ms,
-                par_ms, idx_ms > 0 ? scan_ms / idx_ms : 0.0,
-                identical ? "yes" : "NO");
-    if (fragments == 1000) {
-      // The ~10k-doc dataset carries the acceptance bar: the indexed
-      // equality Find must beat the full scan by >= 10x.
-      double speedup = idx_ms > 0 ? scan_ms / idx_ms : 0.0;
-      RecordMetric("planner_10k_ixscan_ms", idx_ms);
-      RecordMetric("planner_10k_collscan_ms", scan_ms);
-      RecordMetric("planner_10k_speedup", speedup);
-      if (speedup < 10.0) {
-        std::printf("  FAILED: indexed Find only %.1fx faster than scan "
-                    "(need >= 10x)\n", speedup);
-        CheckFailed() = true;
-      }
-    } else {
-      RecordMetric("planner_100k_ixscan_ms", idx_ms);
-      RecordMetric("planner_100k_collscan_ms", scan_ms);
-      RecordMetric("planner_100k_collscan_4thr_ms", par_ms);
-    }
-  }
-}
-
-void AblationSortLimitPushdown() {
-  PrintSection("J. sort/limit push-down & compound indexes (dt.entity)");
-  // ~9.8 entity docs per fragment: 5500 fragments clear the >= 50k-doc
-  // acceptance scale with margin.
-  BenchScale scale;
-  scale.num_fragments = 5500;
-  DemoPipeline p = BuildDemoPipeline(scale, /*ingest_text=*/true,
-                                     /*ingest_structured=*/false);
-  auto* coll = p.tamer->entity_collection();
-  std::printf("  docs: %s\n", WithThousandsSep(coll->count()).c_str());
-  if (coll->count() < 50000) {
-    std::printf("  FAILED: need >= 50,000 docs for the push-down bar\n");
-    CheckFailed() = true;
-  }
-
-  // ---- Sort/limit push-down: top-10 by instance_id over everything.
-  const auto match_all = query::Predicate::And({});
-  query::FindOptions down;
-  down.order_by = "instance_id";
-  down.limit = 10;
-  query::ExecStats stats;
-  down.stats = &stats;
-
-  const std::string explain =
-      query::ExplainFind(coll->GetView(), match_all, down);
-  std::printf("  plan: %s\n", explain.c_str());
-  const bool plan_ok = explain.find("IXSCAN") != std::string::npos &&
-                       explain.find("LIMIT(10)") != std::string::npos &&
-                       explain.find("SORT") == std::string::npos;
-  if (!plan_ok) {
-    std::printf("  FAILED: expected an IXSCAN -> LIMIT plan with no SORT\n");
-    CheckFailed() = true;
-  }
-
-  const int push_reps = 200;
-  Timer t_push;
-  std::vector<storage::DocId> pushed;
-  for (int i = 0; i < push_reps; ++i) {
-    pushed = query::Find(coll->GetView(), match_all, down).ValueOrDie();
-  }
-  double push_ms = t_push.Millis() / push_reps;
-
-  // Baseline: what PR 3 did — materialize every id, fetch the sort
-  // key per document, sort the whole set, truncate to 10.
-  query::FindOptions material;
-  material.use_indexes = false;
-  const int sort_reps = 10;
-  Timer t_sort;
-  std::vector<storage::DocId> sorted;
-  for (int i = 0; i < sort_reps; ++i) {
-    const storage::CollectionView view = coll->GetView();
-    std::vector<storage::DocId> all =
-        query::Find(view, match_all, material).ValueOrDie();
-    std::vector<std::pair<storage::IndexKey, storage::DocId>> keyed;
-    keyed.reserve(all.size());
-    for (storage::DocId id : all) {
-      const storage::DocValue* doc = view.Get(id);
-      const storage::DocValue* v =
-          doc == nullptr ? nullptr : doc->FindPath("instance_id");
-      keyed.emplace_back(v == nullptr ? storage::IndexKey()
-                                      : storage::IndexKey::FromValue(*v),
-                         id);
-    }
-    std::sort(keyed.begin(), keyed.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first < b.first) return true;
-                if (b.first < a.first) return false;
-                return a.second < b.second;
-              });
-    sorted.clear();
-    for (size_t k = 0; k < keyed.size() && k < 10; ++k) {
-      sorted.push_back(keyed[k].second);
-    }
-  }
-  double sort_ms = t_sort.Millis() / sort_reps;
-
-  const bool identical = pushed == sorted;
-  const double speedup = push_ms > 0 ? sort_ms / push_ms : 0.0;
-  std::printf("  %-34s %10.4f ms   (%lld index entries examined)\n",
-              "push-down (IXSCAN -> LIMIT)", push_ms,
-              static_cast<long long>(stats.index_entries_examined));
-  std::printf("  %-34s %10.4f ms\n", "materialize + sort + truncate",
-              sort_ms);
-  std::printf("  %-34s %9.1fx   identical: %s\n", "speedup", speedup,
-              identical ? "yes" : "NO");
-  if (!identical) CheckFailed() = true;
-  if (speedup < 10.0) {
-    std::printf("  FAILED: push-down only %.1fx faster (need >= 10x)\n",
-                speedup);
-    CheckFailed() = true;
-  }
-  RecordMetric("pushdown_docs", static_cast<double>(coll->count()));
-  RecordMetric("pushdown_ixscan_limit_ms", push_ms);
-  RecordMetric("pushdown_materialize_sort_ms", sort_ms);
-  RecordMetric("pushdown_speedup", speedup);
-  RecordMetric("pushdown_entries_examined",
-               static_cast<double>(stats.index_entries_examined));
-
-  // ---- Compound vs intersected single-field indexes on the Table IV
-  // shape: type equality + award filter.
-  auto pred = query::Predicate::And(
-      {query::Predicate::Eq("type", storage::DocValue::Str("Movie")),
-       query::Predicate::Eq("award_winning", storage::DocValue::Str("true"))});
-  const int reps = 50;
-  Timer t_single;
-  std::vector<storage::DocId> via_single;
-  for (int i = 0; i < reps; ++i) {
-    via_single = query::Find(coll->GetView(), pred).ValueOrDie();
-  }
-  double single_ms = t_single.Millis() / reps;
-
-  if (!coll->CreateIndex({"type", "award_winning"}).ok()) {
-    std::printf("  compound index creation FAILED\n");
-    CheckFailed() = true;
-    return;
-  }
-  const std::string compound_explain =
-      query::ExplainFind(coll->GetView(), pred);
-  Timer t_compound;
-  std::vector<storage::DocId> via_compound;
-  for (int i = 0; i < reps; ++i) {
-    via_compound = query::Find(coll->GetView(), pred).ValueOrDie();
-  }
-  double compound_ms = t_compound.Millis() / reps;
-
-  const bool same = via_single == via_compound;
-  std::printf("  %-34s %10.4f ms   (driver + residual re-check)\n",
-              "single-field index (best driver)", single_ms);
-  std::printf("  %-34s %10.4f ms   (%zu hits, exact bounds)\n",
-              "compound (type,award_winning)", compound_ms,
-              via_compound.size());
-  std::printf("  %-34s %9.1fx   identical: %s\n", "compound speedup",
-              compound_ms > 0 ? single_ms / compound_ms : 0.0,
-              same ? "yes" : "NO");
-  std::printf("  compound plan: %s\n", compound_explain.c_str());
-  if (!same || via_compound.empty()) CheckFailed() = true;
-  if (compound_explain.find("IXSCAN(type,award_winning)") ==
-      std::string::npos) {
-    std::printf("  FAILED: planner did not route through the compound "
-                "index\n");
-    CheckFailed() = true;
-  }
-  RecordMetric("pushdown_single_residual_ms", single_ms);
-  RecordMetric("pushdown_compound_ms", compound_ms);
-  RecordMetric("pushdown_compound_speedup",
-               compound_ms > 0 ? single_ms / compound_ms : 0.0);
-}
-
-void AblationResumableCursors(int64_t fragments_override) {
-  PrintSection("K. resumable cursors: paginated scan + ordered-Or merge");
-  const bool full_scale = fragments_override <= 0;
-  BenchScale scale;
-  // ~9.8 entity docs per fragment: 5500 fragments clear 50k docs.
-  scale.num_fragments = full_scale ? 5500 : fragments_override;
-  DemoPipeline p = BuildDemoPipeline(scale, /*ingest_text=*/true,
-                                     /*ingest_structured=*/false);
-  auto* coll = p.tamer->entity_collection();
-  std::printf("  docs: %s\n", WithThousandsSep(coll->count()).c_str());
-
-  // ---- Paginated indexed ordered scan: one token-resumed page of 50
-  // vs materializing the whole ordered result to reach the same rows.
-  const auto match_all = query::Predicate::And({});
-  const int64_t kPage = 50;
-  query::FindOptions paged;
-  paged.order_by = "instance_id";
-  paged.limit = coll->count();  // bounded walk: enables the index ride
-  paged.page_size = kPage;
-  query::ExecStats stats;
-  paged.stats = &stats;
-  std::printf("  plan: %s\n",
-              query::ExplainFind(coll->GetView(), match_all, paged).c_str());
-
-  // Walk 20 pages through their tokens, timing the resumed fetches and
-  // watching what each one touched.
-  std::vector<storage::DocId> stitched;
-  int64_t max_entries = 0;
-  double resume_ms_total = 0;
-  int resumes = 0;
-  const int kPages = 20;
-  for (int page_no = 0; page_no < kPages; ++page_no) {
-    Timer t;
-    auto page = query::FindPage(coll->GetView(), match_all, paged);
-    double ms = t.Millis();
-    if (!page.ok()) {
-      std::printf("  page FAILED: %s\n", page.status().ToString().c_str());
-      CheckFailed() = true;
-      return;
-    }
-    stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
-    if (page_no > 0) {  // resumed fetches (page 1 has no token cost)
-      resume_ms_total += ms;
-      max_entries = std::max(max_entries, stats.index_entries_examined);
-      ++resumes;
-    }
-    if (page->next_token.empty()) break;
-    paged.resume_token = page->next_token;
-  }
-  double resume_ms = resumes > 0 ? resume_ms_total / resumes : 0;
-
-  // Baseline: materialize the whole ordered result (what a client
-  // without cursors pays per request), then slice.
-  query::FindOptions full;
-  full.order_by = "instance_id";
-  full.limit = coll->count();
-  const int full_reps = 5;
-  Timer t_full;
-  std::vector<storage::DocId> all;
-  for (int i = 0; i < full_reps; ++i) {
-    all = query::Find(coll->GetView(), match_all, full).ValueOrDie();
-  }
-  double full_ms = t_full.Millis() / full_reps;
-
-  const bool prefix_identical =
-      stitched.size() <= all.size() &&
-      std::equal(stitched.begin(), stitched.end(), all.begin());
-  const double page_speedup = resume_ms > 0 ? full_ms / resume_ms : 0.0;
-  std::printf("  %-38s %10.4f ms   (max %lld entries/page)\n",
-              "token-resumed page of 50", resume_ms,
-              static_cast<long long>(max_entries));
-  std::printf("  %-38s %10.4f ms   (%zu ids)\n",
-              "full ordered materialization", full_ms, all.size());
-  std::printf("  %-38s %9.1fx   stitched prefix identical: %s\n",
-              "per-page speedup", page_speedup,
-              prefix_identical ? "yes" : "NO");
-  if (!prefix_identical) CheckFailed() = true;
-  // Deterministic acceptance: a resumed page examines O(page_size)
-  // index entries (runs of ~10 entities per instance_id plus edges),
-  // never the consumed offset.
-  if (max_entries > kPage + 30) {
-    std::printf("  FAILED: resumed page examined %lld entries "
-                "(O(offset) re-walk?)\n",
-                static_cast<long long>(max_entries));
-    CheckFailed() = true;
-  }
-  if (full_scale && page_speedup < 10.0) {
-    std::printf("  FAILED: paginated fetch only %.1fx faster (need >= 10x)\n",
-                page_speedup);
-    CheckFailed() = true;
-  }
-  RecordMetric("pagination_docs", static_cast<double>(coll->count()));
-  RecordMetric("pagination_resumed_page_ms", resume_ms);
-  RecordMetric("pagination_full_materialize_ms", full_ms);
-  RecordMetric("pagination_page_speedup", page_speedup);
-  RecordMetric("pagination_max_entries_per_page",
-               static_cast<double>(max_entries));
-
-  // ---- Ordered Or: unordered UNION + TOPK fallback (single-field
-  // indexes) vs MERGE_UNION once compound indexes cover the order.
-  auto pred_or = query::Predicate::Or(
-      {query::Predicate::Eq("type", storage::DocValue::Str("Movie")),
-       query::Predicate::Eq("type", storage::DocValue::Str("Person"))});
-  query::FindOptions ordered;
-  ordered.order_by = "name";
-  ordered.limit = 10;
-  query::ExecStats topk_stats;
-  ordered.stats = &topk_stats;
-  // The fallback arm runs the pre-statistics planner (exact O(hits)
-  // counting, no stats-driven plan switches) so the comparison stays
-  // the one this section has always made: UNION + TOPK vs the merge.
-  ordered.debug_exact_count_planning = true;
-  const std::string before =
-      query::ExplainFind(coll->GetView(), pred_or, ordered);
-  const int topk_reps = 10;
-  Timer t_topk;
-  std::vector<storage::DocId> via_topk;
-  for (int i = 0; i < topk_reps; ++i) {
-    via_topk = query::Find(coll->GetView(), pred_or, ordered).ValueOrDie();
-  }
-  double topk_ms = t_topk.Millis() / topk_reps;
-  const int64_t topk_touched =
-      topk_stats.index_entries_examined + topk_stats.docs_examined;
-
-  if (!coll->CreateIndex({"type", "name"}).ok()) {
-    std::printf("  compound index creation FAILED\n");
-    CheckFailed() = true;
-    return;
-  }
-  query::ExecStats merge_stats;
-  ordered.stats = &merge_stats;
-  ordered.debug_exact_count_planning = false;
-  const std::string after =
-      query::ExplainFind(coll->GetView(), pred_or, ordered);
-  const int merge_reps = 200;
-  Timer t_merge;
-  std::vector<storage::DocId> via_merge;
-  for (int i = 0; i < merge_reps; ++i) {
-    via_merge = query::Find(coll->GetView(), pred_or, ordered).ValueOrDie();
-  }
-  double merge_ms = t_merge.Millis() / merge_reps;
-
-  const bool same = via_topk == via_merge;
-  const bool plan_ok = after.find("MERGE_UNION") != std::string::npos &&
-                       after.find("SORT") == std::string::npos &&
-                       after.find("TOPK") == std::string::npos;
-  const double merge_speedup = merge_ms > 0 ? topk_ms / merge_ms : 0.0;
-  const int64_t merge_touched =
-      merge_stats.index_entries_examined + merge_stats.docs_examined;
-  const double touch_ratio =
-      merge_touched > 0
-          ? static_cast<double>(topk_touched) / static_cast<double>(merge_touched)
-          : 0.0;
-  std::printf("  ordered-Or fallback plan: %s\n", before.c_str());
-  std::printf("  ordered-Or merge plan:    %s\n", after.c_str());
-  std::printf("  %-38s %10.4f ms   (%s entries+docs touched)\n",
-              "UNION -> TOPK (single-field indexes)", topk_ms,
-              WithThousandsSep(topk_touched).c_str());
-  std::printf("  %-38s %10.4f ms   (%s entries touched)\n",
-              "MERGE_UNION -> LIMIT (compound)", merge_ms,
-              WithThousandsSep(merge_touched).c_str());
-  std::printf("  %-38s %9.1fx wall clock, %.0fx touched\n", "merge advantage",
-              merge_speedup, touch_ratio);
-  std::printf("  identical: %s   (fallback arm plans with pre-statistics "
-              "exact O(hits) counting;\n   the merge arm plans O(1) off the "
-              "histograms — section O isolates that\n   planning delta; the "
-              "touched ratio isolates the execution change)\n",
-              same ? "yes" : "NO");
-  if (!same || via_merge.empty()) CheckFailed() = true;
-  if (!plan_ok) {
-    std::printf("  FAILED: expected a SORT-free MERGE_UNION plan\n");
-    CheckFailed() = true;
-  }
-  // The execution bar: the merge must touch >= 10x less than the TOPK
-  // fallback (deterministic), and still win end-to-end wall clock at
-  // full scale despite the shared planning overhead.
-  if (touch_ratio < 10.0) {
-    std::printf("  FAILED: merge touched only %.1fx less (need >= 10x)\n",
-                touch_ratio);
-    CheckFailed() = true;
-  }
-  if (full_scale && merge_speedup < 2.0) {
-    std::printf("  FAILED: merge only %.1fx faster end-to-end "
-                "(need >= 2x)\n",
-                merge_speedup);
-    CheckFailed() = true;
-  }
-  RecordMetric("merge_union_topk_fallback_ms", topk_ms);
-  RecordMetric("merge_union_ms", merge_ms);
-  RecordMetric("merge_union_speedup", merge_speedup);
-  RecordMetric("merge_union_touched", static_cast<double>(merge_touched));
-  RecordMetric("merge_union_fallback_touched",
-               static_cast<double>(topk_touched));
-  RecordMetric("merge_union_touch_ratio", touch_ratio);
-}
-
-void AblationConcurrency() {
-  PrintSection("L. reader throughput vs one concurrent writer (4 readers)");
-  const int64_t kDocs = 20000;
-  storage::Collection coll("dt.bench");
-  static const char* kTypes[] = {"Movie", "Person", "Company", "City"};
-  for (int64_t i = 0; i < kDocs; ++i) {
-    coll.Insert(storage::DocBuilder()
-                    .Set("type", kTypes[i % 4])
-                    .Set("rank", (i * 37) % 1000)
-                    .Set("score", static_cast<double>(i % 100))
-                    .Build());
-  }
-  if (!coll.CreateIndex("type").ok() || !coll.CreateIndex("rank").ok()) {
-    std::printf("  index creation FAILED\n");
-    CheckFailed() = true;
-    return;
-  }
-  std::printf("  docs: %s\n", WithThousandsSep(coll.count()).c_str());
-
-  const int kReaders = 4;
-  const int kQueriesPerReader = 1500;
-  const auto pred = query::Predicate::And(
-      {query::Predicate::Eq("type", storage::DocValue::Str("Movie")),
-       query::Predicate::Range("rank", storage::DocValue::Int(100),
-                               storage::DocValue::Int(500))});
-
-  // One mode = 4 reader threads each timing a fixed count of indexed
-  // queries, optionally racing one writer that churns inserts/updates/
-  // removes (forcing copy-on-write version publication) until the
-  // readers finish.
-  const auto run_mode = [&](int writers, double* qps, double* p99_ms) {
-    std::atomic<bool> done{false};
-    std::thread writer;
-    if (writers > 0) {
-      writer = std::thread([&coll, &done] {
-        int64_t seq = 0;
-        while (!done.load(std::memory_order_relaxed)) {
-          storage::DocId id = coll.Insert(
-              storage::DocBuilder()
-                  .Set("type", kTypes[seq % 4])
-                  .Set("rank", (seq * 37) % 1000)
-                  .Build());
-          if (seq % 3 == 0) {
-            (void)coll.Update(
-                id, storage::DocBuilder().Set("type", "Updated").Build());
-          }
-          if (seq % 5 == 0) (void)coll.Remove(id);
-          ++seq;
-        }
-      });
-    }
-    std::vector<std::vector<double>> latencies(kReaders);
-    std::vector<std::thread> readers;
-    Timer wall;
-    for (int t = 0; t < kReaders; ++t) {
-      readers.emplace_back([&coll, &pred, &latencies, t] {
-        auto& lat = latencies[t];
-        lat.reserve(kQueriesPerReader);
-        for (int q = 0; q < kQueriesPerReader; ++q) {
-          Timer tq;
-          auto got = query::Find(coll.GetView(), pred);
-          if (!got.ok() || got->empty()) {
-            CheckFailed() = true;
-            return;
-          }
-          lat.push_back(tq.Millis());
-        }
-      });
-    }
-    for (auto& r : readers) r.join();
-    double wall_ms = wall.Millis();
-    done.store(true);
-    if (writer.joinable()) writer.join();
-
-    std::vector<double> all;
-    for (const auto& lat : latencies) {
-      all.insert(all.end(), lat.begin(), lat.end());
-    }
-    std::sort(all.begin(), all.end());
-    if (all.size() < static_cast<size_t>(kReaders * kQueriesPerReader)) {
-      std::printf("  FAILED: a reader thread aborted\n");
-      CheckFailed() = true;
-    }
-    *qps = all.empty() || wall_ms <= 0
-               ? 0.0
-               : static_cast<double>(all.size()) / (wall_ms / 1000.0);
-    *p99_ms = all.empty() ? 0.0 : all[all.size() * 99 / 100];
-  };
-
-  double qps_0w = 0, p99_0w = 0, qps_1w = 0, p99_1w = 0;
-  run_mode(0, &qps_0w, &p99_0w);
-  run_mode(1, &qps_1w, &p99_1w);
-  const double retention = qps_0w > 0 ? qps_1w / qps_0w : 0.0;
-  std::printf("  %-38s %10.0f QPS   (p99 %.4f ms)\n", "0 writers (read-only)",
-              qps_0w, p99_0w);
-  std::printf("  %-38s %10.0f QPS   (p99 %.4f ms)\n", "1 concurrent writer",
-              qps_1w, p99_1w);
-  std::printf("  %-38s %9.0f%%   of read-only throughput under churn\n",
-              "retention", retention * 100);
-  // No latency bar (machines vary); the correctness bar is every query
-  // succeeding with hits on a live pinned version, both modes.
-  RecordMetric("concurrency_docs", static_cast<double>(kDocs));
-  RecordMetric("concurrency_readonly_qps", qps_0w);
-  RecordMetric("concurrency_readonly_p99_ms", p99_0w);
-  RecordMetric("concurrency_1writer_qps", qps_1w);
-  RecordMetric("concurrency_1writer_p99_ms", p99_1w);
-  RecordMetric("concurrency_qps_retention", retention);
-}
-
-void AblationServing(int64_t fragments_override) {
-  PrintSection("M. network serving: loopback RPC QPS + p99 (4 clients)");
-  const bool full_scale = fragments_override <= 0;
-  BenchScale scale;
-  scale.num_fragments = full_scale ? 4000 : fragments_override;
-  DemoPipeline p = BuildDemoPipeline(scale, /*ingest_text=*/true,
-                                     /*ingest_structured=*/false);
-  std::printf("  docs: %s\n",
-              WithThousandsSep(p.tamer->entity_collection()->count()).c_str());
-
-  server::ServerOptions sopts;
-  sopts.num_workers = 4;
-  server::DtServer srv(p.tamer.get(), sopts);
-  if (!srv.Start().ok()) {
-    std::printf("  FAILED: server did not start\n");
-    CheckFailed() = true;
-    return;
-  }
-
-  const int kClients = 4;
-  const int kRequestsPerClient = full_scale ? 1000 : 100;
-  // Open-loop-ish driver: each client keeps a bounded window of
-  // pipelined requests in flight instead of strict request/response
-  // lockstep, so the server sees concurrent arrivals per session.
-  const int kWindow = 8;
-  query::QueryRequest req;
-  req.op = query::QueryOp::kFind;
-  req.collection = "entity";
-  req.predicate =
-      query::Predicate::Eq("type", storage::DocValue::Str("Movie"));
-  req.order_by = "name";
-  req.limit = 50;
-
-  std::vector<std::vector<double>> latencies(kClients);
-  std::vector<std::thread> clients;
-  Timer wall;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      auto conn = server::DtClient::Connect("127.0.0.1", srv.port());
-      if (!conn.ok()) {
-        CheckFailed() = true;
-        return;
-      }
-      auto& lat = latencies[c];
-      lat.reserve(kRequestsPerClient);
-      std::unordered_map<uint64_t, std::chrono::steady_clock::time_point>
-          sent_at;
-      int sent = 0, received = 0;
-      while (received < kRequestsPerClient) {
-        while (sent < kRequestsPerClient &&
-               sent - received < kWindow) {
-          auto id = (*conn)->Send(req);
-          if (!id.ok()) {
-            CheckFailed() = true;
-            return;
-          }
-          sent_at[*id] = std::chrono::steady_clock::now();
-          ++sent;
-        }
-        auto env = (*conn)->Receive();
-        if (!env.ok() || !env->status.ok() || env->response.ids.empty()) {
-          CheckFailed() = true;
-          return;
-        }
-        auto it = sent_at.find(env->id);
-        if (it == sent_at.end()) {
-          CheckFailed() = true;
-          return;
-        }
-        lat.push_back(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - it->second)
-                          .count());
-        sent_at.erase(it);
-        ++received;
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-  const double wall_ms = wall.Millis();
-
-  std::vector<double> all;
-  for (const auto& lat : latencies) {
-    all.insert(all.end(), lat.begin(), lat.end());
-  }
-  std::sort(all.begin(), all.end());
-  const size_t expected =
-      static_cast<size_t>(kClients) * kRequestsPerClient;
-  if (all.size() < expected) {
-    std::printf("  FAILED: a client thread aborted (%zu/%zu answered)\n",
-                all.size(), expected);
-    CheckFailed() = true;
-  }
-  const double qps = all.empty() || wall_ms <= 0
-                         ? 0.0
-                         : static_cast<double>(all.size()) / (wall_ms / 1000.0);
-  const double p50 = all.empty() ? 0.0 : all[all.size() / 2];
-  const double p99 = all.empty() ? 0.0 : all[all.size() * 99 / 100];
-  const server::ServerStats stats = srv.stats();
-  srv.Stop();
-  std::printf("  %-38s %10.0f QPS over the wire\n",
-              "4 clients, window 8", qps);
-  std::printf("  %-38s %10.4f ms p50 / %.4f ms p99\n", "request latency",
-              p50, p99);
-  std::printf("  %-38s %10llu executed, %llu rejected\n", "server counters",
-              static_cast<unsigned long long>(stats.requests_executed),
-              static_cast<unsigned long long>(stats.requests_rejected));
-  // Correctness bar: every request answered OK with hits; the default
-  // admission queue (256) never overflows under 4x8 in flight.
-  if (stats.requests_rejected > 0) {
-    std::printf("  FAILED: admission control rejected inside capacity\n");
-    CheckFailed() = true;
-  }
-  RecordMetric("server_clients", kClients);
-  RecordMetric("server_requests", static_cast<double>(all.size()));
-  RecordMetric("server_qps", qps);
-  RecordMetric("server_p50_ms", p50);
-  RecordMetric("server_p99_ms", p99);
-}
-
-// ---- N. durability ----------------------------------------------------
-
-const char* DurabilityModeName(storage::Durability m) {
-  switch (m) {
-    case storage::Durability::kNone:
-      return "none";
-    case storage::Durability::kAsync:
-      return "async";
-    case storage::Durability::kGroup:
-      return "group";
-    case storage::Durability::kStrict:
-      return "strict";
-  }
-  return "?";
-}
-
-struct DurabilityRun {
-  double ops_per_sec = 0;
-  uint64_t syncs = 0;
-  uint64_t group_batches = 0;
-};
-
-/// 4 writer threads over 4 collections sharing one log: every insert
-/// is acknowledged per the mode's contract, then the directory is
-/// reopened and the acknowledged writes must all be there.
-DurabilityRun RunDurabilityWriters(storage::Durability mode,
-                                   const std::string& dir) {
-  constexpr int kWriters = 4;
-  constexpr int kOpsPerWriter = 250;
-  std::system(("rm -rf '" + dir + "'").c_str());
-  storage::DurabilityOptions o;
-  o.dir = dir;
-  o.durability = mode;
-  o.checkpoint_wal_bytes = 0;
-  DurabilityRun out;
-  {
-    std::unique_ptr<storage::DocumentStore> recovered;
-    auto mgr = storage::WalManager::Open(o, "dt", &recovered);
-    if (!mgr.ok()) {
-      CheckFailed() = true;
-      return out;
-    }
-    storage::DocumentStore store("dt");
-    std::vector<storage::Collection*> colls;
-    for (int w = 0; w < kWriters; ++w) {
-      colls.push_back(
-          store.CreateCollection("w" + std::to_string(w)).ValueOrDie());
-    }
-    if (!(*mgr)->Attach(&store).ok()) {
-      CheckFailed() = true;
-      return out;
-    }
-    Timer t;
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; ++w) {
-      writers.emplace_back([&colls, w] {
-        for (int i = 0; i < kOpsPerWriter; ++i) {
-          colls[w]->Insert(storage::DocBuilder()
-                               .Set("seq", static_cast<int64_t>(i))
-                               .Set("writer", static_cast<int64_t>(w))
-                               .Build());
-        }
-      });
-    }
-    for (auto& th : writers) th.join();
-    if (!(*mgr)->Flush().ok()) CheckFailed() = true;
-    const double secs = t.Seconds();
-    const storage::DurabilityStats s = (*mgr)->stats();
-    out.ops_per_sec = secs <= 0 ? 0.0 : kWriters * kOpsPerWriter / secs;
-    out.syncs = s.wal_syncs;
-    out.group_batches = s.wal_group_batches;
-    (*mgr)->DetachAll();
-  }
-  // Recovery differential: reopen the directory cold.
-  std::unique_ptr<storage::DocumentStore> recovered;
-  auto mgr = storage::WalManager::Open(o, "dt", &recovered);
-  bool ok = mgr.ok() && recovered != nullptr;
-  for (int w = 0; ok && w < kWriters; ++w) {
-    auto coll = recovered->GetCollection("w" + std::to_string(w));
-    ok = coll.ok() &&
-         (*coll)->count() == static_cast<uint64_t>(kOpsPerWriter);
-  }
-  if (!ok) {
-    std::printf("  FAILED: %s-mode recovery lost acknowledged writes\n",
-                DurabilityModeName(mode));
-    CheckFailed() = true;
-  }
-  std::system(("rm -rf '" + dir + "'").c_str());
-  return out;
-}
-
-void AblationDurability() {
-  PrintSection("N. durability: group commit vs strict fsync, "
-               "incremental checkpoints");
-  const std::string dir =
-      "/tmp/dt_bench_durability_" + std::to_string(::getpid());
-
-  // (1) Acknowledged-insert throughput per durability mode. Group
-  // commit's win is fsyncs amortized across concurrent appenders;
-  // strict pays one ack'd fsync per append (modulo leader batching).
-  std::printf("  4 writer threads, 250 acknowledged inserts each\n");
-  double group_qps = 0, strict_qps = 0;
-  for (storage::Durability mode :
-       {storage::Durability::kAsync, storage::Durability::kGroup,
-        storage::Durability::kStrict}) {
-    const DurabilityRun r = RunDurabilityWriters(mode, dir);
-    std::printf("  %-38s %10.0f ops/s   (%llu fsyncs, %llu batched)\n",
-                DurabilityModeName(mode), r.ops_per_sec,
-                static_cast<unsigned long long>(r.syncs),
-                static_cast<unsigned long long>(r.group_batches));
-    RecordMetric(std::string("durability_") + DurabilityModeName(mode) +
-                     "_ops_per_sec",
-                 r.ops_per_sec);
-    if (mode == storage::Durability::kGroup) group_qps = r.ops_per_sec;
-    if (mode == storage::Durability::kStrict) strict_qps = r.ops_per_sec;
-  }
-  const double speedup = strict_qps <= 0 ? 0.0 : group_qps / strict_qps;
-  std::printf("  %-38s %10.1fx strict-fsync throughput\n",
-              "group commit", speedup);
-  RecordMetric("durability_group_vs_strict_speedup", speedup);
-
-  // (2) Incremental checkpoints: 8 collections, then dirty exactly
-  // one — the second checkpoint must re-encode only that one and cost
-  // less than the full fold.
-  std::system(("rm -rf '" + dir + "'").c_str());
-  storage::DurabilityOptions o;
-  o.dir = dir;
-  o.durability = storage::Durability::kGroup;
-  o.checkpoint_wal_bytes = 0;
-  std::unique_ptr<storage::DocumentStore> recovered;
-  auto mgr = storage::WalManager::Open(o, "dt", &recovered);
-  if (!mgr.ok()) {
-    CheckFailed() = true;
-    return;
-  }
-  constexpr int kColls = 8;
-  constexpr int kDocsPerColl = 1500;
-  storage::DocumentStore store("dt");
-  std::vector<storage::Collection*> colls;
-  for (int c = 0; c < kColls; ++c) {
-    colls.push_back(
-        store.CreateCollection("c" + std::to_string(c)).ValueOrDie());
-  }
-  if (!(*mgr)->Attach(&store).ok()) {
-    CheckFailed() = true;
-    return;
-  }
-  for (storage::Collection* coll : colls) {
-    for (int i = 0; i < kDocsPerColl; ++i) {
-      coll->Insert(storage::DocBuilder()
-                       .Set("i", static_cast<int64_t>(i))
-                       .Set("pad", std::string(32, 'x'))
-                       .Build());
-    }
-  }
-  Timer t_full;
-  if (!(*mgr)->Checkpoint().ok()) CheckFailed() = true;
-  const double full_ms = t_full.Seconds() * 1e3;
-  const storage::DurabilityStats after_full = (*mgr)->stats();
-
-  for (int i = 0; i < 50; ++i) {
-    colls[3]->Insert(storage::DocBuilder().Set("i", static_cast<int64_t>(i)).Build());
-  }
-  Timer t_incr;
-  if (!(*mgr)->Checkpoint().ok()) CheckFailed() = true;
-  const double incr_ms = t_incr.Seconds() * 1e3;
-  const storage::DurabilityStats after_incr = (*mgr)->stats();
-  const uint64_t written =
-      after_incr.checkpoint_collections_written -
-      after_full.checkpoint_collections_written;
-  const uint64_t reused = after_incr.checkpoint_collections_reused -
-                          after_full.checkpoint_collections_reused;
-  (*mgr)->DetachAll();
-
-  std::printf("  %-38s %10.2f ms   (%d collections re-encoded)\n",
-              "full checkpoint", full_ms, kColls);
-  std::printf("  %-38s %10.2f ms   (%llu re-encoded, %llu reused)\n",
-              "incremental checkpoint, 1 dirty", incr_ms,
-              static_cast<unsigned long long>(written),
-              static_cast<unsigned long long>(reused));
-  // Correctness bar: the incremental fold touches only the dirty
-  // collection and is cheaper than re-encoding the corpus.
-  if (written != 1 || reused != kColls - 1) {
-    std::printf("  FAILED: expected 1 written / %d reused\n", kColls - 1);
-    CheckFailed() = true;
-  }
-  if (incr_ms >= full_ms) {
-    std::printf("  FAILED: incremental checkpoint not cheaper than full\n");
-    CheckFailed() = true;
-  }
-  RecordMetric("durability_checkpoint_full_ms", full_ms);
-  RecordMetric("durability_checkpoint_incremental_ms", incr_ms);
-  RecordMetric("durability_checkpoint_reused",
-               static_cast<double>(reused));
-  std::system(("rm -rf '" + dir + "'").c_str());
-}
-
-void AblationPlannerStats(int64_t fragments_override) {
-  PrintSection("O. planner statistics: O(1) planning via histograms/sketches");
-  const bool full_scale = fragments_override <= 0;
-  // Synthetic skewed corpus: a "bucket" field whose values hit 1, ~1k
-  // and ~50k documents (the spread that makes exact cardinality
-  // counting O(hits)), a unique "name", and a 50/50 "type" split for
-  // the ordered-Or workload below.
-  const int64_t n = full_scale ? 54000 : 2101;
-  const int64_t warm = full_scale ? 1000 : 100;
-  storage::Collection coll("bench.planner_stats");
-  for (int64_t i = 0; i < n; ++i) {
-    char name[16];
-    std::snprintf(name, sizeof(name), "n%07lld", static_cast<long long>(i));
-    coll.Insert(storage::DocBuilder()
-                    .Set("bucket", i == 0          ? "cold"
-                                   : i <= warm     ? "warm"
-                                                   : "hot")
-                    .Set("type", i % 2 == 0 ? "Movie" : "Person")
-                    .Set("name", name)
-                    .Build());
-  }
-  if (!coll.CreateIndex("bucket").ok() || !coll.CreateIndex("name").ok() ||
-      !coll.CreateIndex("type").ok()) {
-    std::printf("  index creation FAILED\n");
-    CheckFailed() = true;
-    return;
-  }
-  std::printf("  docs: %s   bucket hits: 1 / %s / %s\n",
-              WithThousandsSep(n).c_str(), WithThousandsSep(warm).c_str(),
-              WithThousandsSep(n - warm - 1).c_str());
-
-  // ---- Planning cost across three orders of magnitude of hit count.
-  // The point Find carries an order_by + limit so the planner also
-  // prices the filtered order-walk alternative — the estimate-hungry
-  // decision. `plan_entries_counted` is deterministic; the wall clock
-  // is informational.
-  const struct {
-    const char* label;
-    const char* value;
-  } kBuckets[] = {{"1", "cold"}, {"1k", "warm"}, {"50k", "hot"}};
-  const int plan_reps = 200;
-  int64_t max_entries = 0;
-  double plan_us[3] = {0, 0, 0};
-  int64_t plan_entries[3] = {0, 0, 0};
-  std::printf("  %-10s %14s %18s\n", "hits", "plan(us)", "entries counted");
-  for (int b = 0; b < 3; ++b) {
-    auto pred = query::Predicate::Eq("bucket",
-                                     storage::DocValue::Str(kBuckets[b].value));
-    query::FindOptions opts;
-    opts.order_by = "name";
-    opts.limit = 10;
-    query::ExecStats st;
-    opts.stats = &st;
-    int64_t total_ns = 0;
-    for (int i = 0; i < plan_reps; ++i) {
-      st = query::ExecStats{};
-      (void)query::PlanFind(coll.GetView(), pred, opts);
-      total_ns += st.planning_ns;
-      plan_entries[b] = st.plan_entries_counted;
-    }
-    plan_us[b] = static_cast<double>(total_ns) / plan_reps / 1000.0;
-    max_entries = std::max(max_entries, plan_entries[b]);
-    std::printf("  %-10s %14.2f %18s\n", kBuckets[b].label, plan_us[b],
-                WithThousandsSep(plan_entries[b]).c_str());
-    RecordMetric(std::string("planner_stats_plan_us_") + kBuckets[b].label,
-                 plan_us[b]);
-    RecordMetric(std::string("planner_stats_entries_counted_") +
-                     kBuckets[b].label,
-                 static_cast<double>(plan_entries[b]));
-  }
-  // The tentpole bar: planning examines a bounded number of index
-  // entries regardless of hit count — flat from 1 to 50k hits.
-  if (max_entries > 1024) {
-    std::printf("  FAILED: planning examined %s entries (O(hits)?)\n",
-                WithThousandsSep(max_entries).c_str());
-    CheckFailed() = true;
-  }
-
-  // The pre-statistics baseline at the widest bucket: exact counting
-  // walks every hit.
-  {
-    auto pred =
-        query::Predicate::Eq("bucket", storage::DocValue::Str("hot"));
-    query::FindOptions opts;
-    opts.order_by = "name";
-    opts.limit = 10;
-    opts.debug_exact_count_planning = true;
-    query::ExecStats st;
-    opts.stats = &st;
-    const int exact_reps = 20;
-    int64_t total_ns = 0;
-    int64_t exact_entries = 0;
-    for (int i = 0; i < exact_reps; ++i) {
-      st = query::ExecStats{};
-      (void)query::PlanFind(coll.GetView(), pred, opts);
-      total_ns += st.planning_ns;
-      exact_entries = st.plan_entries_counted;
-    }
-    const double exact_us = static_cast<double>(total_ns) / exact_reps / 1000.0;
-    std::printf("  %-10s %14.2f %18s   (exact-count planning)\n", "50k",
-                exact_us, WithThousandsSep(exact_entries).c_str());
-    RecordMetric("planner_stats_exact_plan_us_50k", exact_us);
-    RecordMetric("planner_stats_exact_entries_50k",
-                 static_cast<double>(exact_entries));
-    if (exact_entries <= max_entries) {
-      std::printf("  FAILED: exact baseline counted %s entries — no contrast "
-                  "with the O(1) planner\n",
-                  WithThousandsSep(exact_entries).c_str());
-      CheckFailed() = true;
-    }
-  }
-
-  // ---- End-to-end ordered Or (the section-K workload shape): the
-  // pre-statistics planner both counts every hit while planning and
-  // lands on COLLSCAN + TOPK; the statistics planner prices the
-  // filtered order-walk off the histograms and early-terminates.
-  auto pred_or = query::Predicate::Or(
-      {query::Predicate::Eq("type", storage::DocValue::Str("Movie")),
-       query::Predicate::Eq("type", storage::DocValue::Str("Person"))});
-  query::FindOptions ordered;
-  ordered.order_by = "name";
-  ordered.limit = 10;
-  ordered.debug_exact_count_planning = true;
-  std::printf("  exact-planner plan: %s\n",
-              query::ExplainFind(coll.GetView(), pred_or, ordered).c_str());
-  const int exact_or_reps = 5;
-  Timer t_exact;
-  std::vector<storage::DocId> via_exact;
-  for (int i = 0; i < exact_or_reps; ++i) {
-    via_exact = query::Find(coll.GetView(), pred_or, ordered).ValueOrDie();
-  }
-  const double exact_ms = t_exact.Millis() / exact_or_reps;
-
-  ordered.debug_exact_count_planning = false;
-  std::printf("  stats-planner plan: %s\n",
-              query::ExplainFind(coll.GetView(), pred_or, ordered).c_str());
-  const int stats_or_reps = 200;
-  Timer t_stats;
-  std::vector<storage::DocId> via_stats;
-  for (int i = 0; i < stats_or_reps; ++i) {
-    via_stats = query::Find(coll.GetView(), pred_or, ordered).ValueOrDie();
-  }
-  const double stats_ms = t_stats.Millis() / stats_or_reps;
-  const double or_speedup = stats_ms > 0 ? exact_ms / stats_ms : 0.0;
-  std::printf("  %-38s %10.4f ms\n", "ordered Or, exact-count planner",
-              exact_ms);
-  std::printf("  %-38s %10.4f ms\n", "ordered Or, statistics planner",
-              stats_ms);
-  std::printf("  %-38s %9.1fx   identical: %s\n", "planner speedup",
-              or_speedup, via_exact == via_stats ? "yes" : "NO");
-  if (via_exact != via_stats || via_stats.empty()) CheckFailed() = true;
-  if (full_scale && or_speedup < 2.0) {
-    std::printf("  FAILED: statistics planner only %.1fx faster end-to-end "
-                "(need >= 2x)\n",
-                or_speedup);
-    CheckFailed() = true;
-  }
-  RecordMetric("planner_stats_or_exact_ms", exact_ms);
-  RecordMetric("planner_stats_or_stats_ms", stats_ms);
-  RecordMetric("planner_stats_or_speedup", or_speedup);
 }
 
 // ---- P. streaming ingest ----------------------------------------------
@@ -1704,7 +526,7 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string only;        // section letters to run; empty = all
   std::string require;     // key prefixes the JSON artifact must hold
-  int64_t fragments = 0;   // section K corpus override (0 = default)
+  int64_t fragments = 0;   // section P corpus override (0 = default)
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
@@ -1741,15 +563,6 @@ int main(int argc, char** argv) {
   if (run('D')) AblationExpertVotes();
   if (run('E')) AblationIndexLookup();
   if (run('F')) AblationMergePolicies();
-  if (run('G')) AblationParallelism();
-  if (run('H')) AblationSnapshot();
-  if (run('I')) AblationPlanner();
-  if (run('J')) AblationSortLimitPushdown();
-  if (run('K')) AblationResumableCursors(fragments);
-  if (run('L')) AblationConcurrency();
-  if (run('M')) AblationServing(fragments);
-  if (run('N')) AblationDurability();
-  if (run('O')) AblationPlannerStats(fragments);
   if (run('P')) AblationStreamingIngest(fragments);
   if (!json_path.empty()) {
     if (!WriteJsonMetrics(json_path)) {

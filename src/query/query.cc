@@ -119,21 +119,6 @@ GroupCounts CountGroups(const storage::CollectionView& view,
   return counts;
 }
 
-/// Scan-and-count for the arbitrary-code DocFilter overloads (not
-/// plannable; always a full scan).
-GroupCounts CountGroupsByFilter(const storage::CollectionView& view,
-                                const std::string& path,
-                                const DocFilter& filter) {
-  GroupCounts counts;
-  view.ForEach([&](storage::DocId, const DocValue& doc) {
-    if (!filter(doc)) return;
-    std::string key;
-    if (CountKeyOf(doc.FindPath(path), &key)) ++counts[key];
-  });
-  view.NoteCollScan();
-  return counts;
-}
-
 std::vector<CountRow> SortAllGroups(const GroupCounts& counts) {
   std::vector<CountRow> out;
   out.reserve(counts.size());
@@ -170,16 +155,6 @@ std::vector<CountRow> CountByField(const storage::CollectionView& view,
   return SortAllGroups(CountGroups(view, path, pred, opts));
 }
 
-std::vector<CountRow> CountByField(const storage::CollectionView& view,
-                                   const std::string& path,
-                                   const DocFilter& filter) {
-  if (filter == nullptr) {
-    // No filter = plannable: the indexed form aggregates off the index.
-    return CountByField(view, path, PredicatePtr(), FindOptions{});
-  }
-  return SortAllGroups(CountGroupsByFilter(view, path, filter));
-}
-
 std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
                                   const std::string& path, int64_t k,
                                   const PredicatePtr& pred,
@@ -191,15 +166,6 @@ std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
     return top.TakeSorted();
   }
   return TopKGroups(CountGroups(view, path, pred, opts), k);
-}
-
-std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
-                                  const std::string& path, int64_t k,
-                                  const DocFilter& filter) {
-  if (filter == nullptr) {
-    return TopKByCount(view, path, k, PredicatePtr(), FindOptions{});
-  }
-  return TopKGroups(CountGroupsByFilter(view, path, filter), k);
 }
 
 Result<Table> Project(const Table& table,

@@ -5,7 +5,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,9 +22,6 @@ struct CountRow {
   int64_t count = 0;
 };
 
-/// Optional document predicate.
-using DocFilter = std::function<bool(const storage::DocValue&)>;
-
 /// \brief Group-by-count of the values at `path`: one row per distinct
 /// index key (missing fields, nulls and non-indexable arrays/objects
 /// are skipped), rendered through the key's string form. Results are
@@ -37,13 +33,8 @@ using DocFilter = std::function<bool(const storage::DocValue&)>;
 /// straight off the index's key counts without touching any document.
 std::vector<CountRow> CountByField(const storage::CollectionView& view,
                                    const std::string& path,
-                                   const PredicatePtr& pred,
+                                   const PredicatePtr& pred = nullptr,
                                    const FindOptions& opts = {});
-
-/// Arbitrary-code filter variant (not plannable: always scans).
-std::vector<CountRow> CountByField(const storage::CollectionView& view,
-                                   const std::string& path,
-                                   const DocFilter& filter = nullptr);
 
 /// \brief First `k` groups of CountByField — the Table IV "top 10 most
 /// discussed" query shape. Selection keeps a bounded heap of at most
@@ -51,13 +42,8 @@ std::vector<CountRow> CountByField(const storage::CollectionView& view,
 /// no rows.
 std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
                                   const std::string& path, int64_t k,
-                                  const PredicatePtr& pred,
+                                  const PredicatePtr& pred = nullptr,
                                   const FindOptions& opts = {});
-
-/// Arbitrary-code filter variant (not plannable: always scans).
-std::vector<CountRow> TopKByCount(const storage::CollectionView& view,
-                                  const std::string& path, int64_t k,
-                                  const DocFilter& filter = nullptr);
 
 /// \brief Projection: keeps `attrs` in the given order. Unknown
 /// attributes are an error.

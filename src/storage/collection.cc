@@ -172,28 +172,8 @@ void CollectionShared::TrimRetainedLocked() {
       opts.retained_versions < 0 ? 0
                                  : static_cast<size_t>(opts.retained_versions);
   while (retained.size() > budget) {
-    const std::shared_ptr<const StorageVersion>& victim = retained.front();
-    if (victim->epoch < epochs.MinPinned()) {
-      victim->in_retained = false;
-      retained.pop_front();
-      continue;
-    }
-    // A pinned reader could still resume against this version: defer
-    // the eviction until the pinned epochs drain.
-    if (!victim->retire_pending) {
-      victim->retire_pending = true;
-      epochs.Retire(victim->epoch, [this, vid = victim->version_id] {
-        std::lock_guard<std::mutex> lock(version_mu);
-        for (auto it = retained.begin(); it != retained.end(); ++it) {
-          if ((*it)->version_id == vid) {
-            (*it)->in_retained = false;
-            retained.erase(it);
-            break;
-          }
-        }
-      });
-    }
-    break;  // everything behind the front is at least as recent
+    retained.front()->in_retained = false;
+    retained.pop_front();
   }
 }
 
@@ -227,15 +207,11 @@ void CollectionShared::Mutate(const std::function<void(StorageVersion&)>& fn,
     base.reset();
     vlock.unlock();
   }
-  epochs.Reclaim();
 }
 
 VersionPin::~VersionPin() {
-  {
-    std::lock_guard<std::mutex> lock(state->version_mu);
-    core.reset();
-  }
-  state->epochs.Unpin(epoch);
+  std::lock_guard<std::mutex> lock(state->version_mu);
+  core.reset();
 }
 
 namespace {
@@ -245,9 +221,7 @@ namespace {
 std::shared_ptr<const VersionPin> PinLocked(
     const std::shared_ptr<CollectionShared>& st,
     std::shared_ptr<const StorageVersion> core) {
-  const uint64_t epoch = core->epoch;
-  st->epochs.Pin(epoch);
-  return std::make_shared<const VersionPin>(st, std::move(core), epoch);
+  return std::make_shared<const VersionPin>(st, std::move(core));
 }
 
 /// Non-deterministic writer-RNG seed: collection identity (version
@@ -288,6 +262,7 @@ void CollectionView::RetainForResume() const {
   if (core().in_retained) return;
   core().in_retained = true;
   st.retained.push_back(pin_->core);
+  st.TrimRetainedLocked();
 }
 
 Result<CollectionView> CollectionView::At(uint64_t version_id) const {

@@ -1,6 +1,6 @@
 /// \file collection.h
 /// \brief Sharded document collection with extent-based storage
-/// accounting and epoch-protected, versioned reads.
+/// accounting and versioned reads.
 ///
 /// Mirrors the storage engine the paper runs on: a collection is split
 /// across shards; each shard appends documents into fixed-capacity
@@ -21,8 +21,7 @@
 ///     version and cloning only what the mutation touches — and swap
 ///     it in atomically.
 ///   * Readers call `GetView()` to obtain a `CollectionView`: a
-///     version handle that pins the version's epoch in an
-///     `EpochManager` and keeps the version alive by `shared_ptr`.
+///     version handle that keeps the version alive by `shared_ptr`.
 ///     Everything reached through a view (cursors, index scans, the
 ///     text index, borrowed documents) is immutable and stays valid
 ///     for the view's lifetime, no matter what writers do
@@ -32,10 +31,11 @@
 ///     the same mutex, is ordered after every read the dropped
 ///     reference made.
 ///   * Versions that resume tokens reference are parked in a retained
-///     set (`RetainForResume`). Publication trims the set to
-///     `CollectionOptions::retained_versions`, but eviction of a
-///     version whose epoch is still pinned is deferred through
-///     `EpochManager::Retire` until the pinned epochs drain.
+///     set (`RetainForResume`), trimmed oldest-first to
+///     `CollectionOptions::retained_versions` whenever it grows or a
+///     version publishes. A held view keeps reading its own version
+///     whatever the trim does; a token whose version was trimmed is
+///     rejected as stale.
 ///
 /// `Collection` itself hands out no borrowed document or index: every
 /// read goes through a view, and the collection answers only value
@@ -53,7 +53,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/epoch.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "storage/docvalue.h"
@@ -76,10 +75,10 @@ struct CollectionOptions {
   /// Extent allocation doubles until reaching this cap (2 GB in the
   /// paper's deployment).
   int64_t max_extent_size_bytes = 2LL * 1024 * 1024 * 1024;
-  /// How many superseded versions the collection keeps resumable for
-  /// page tokens (the retained set). 0 makes every token die on the
-  /// next write; the budget is an in-memory serving knob and is not
-  /// persisted by snapshots.
+  /// How many versions the collection keeps resumable for page tokens
+  /// (the retained set), held views or not. 0 makes every token die
+  /// on the next write; the budget is an in-memory serving knob and is
+  /// not persisted by snapshots.
   int retained_versions = 8;
 };
 
@@ -213,7 +212,6 @@ struct StorageVersion {
 
   // Retention bookkeeping, guarded by CollectionShared::version_mu.
   mutable bool in_retained = false;
-  mutable bool retire_pending = false;
 
   // ---- Read accessors (safe on a published version) ----
   const DocValue* Get(DocId id) const;
@@ -255,10 +253,8 @@ struct CollectionShared {
   std::mutex writer_mu;
   /// Guards `published`, `retained` and the per-version retention
   /// flags; readers take and drop their version references under it
-  /// (`VersionPin`). Ordering: version_mu may be taken before the
-  /// epoch manager's internal lock, never the other way around.
+  /// (`VersionPin`).
   mutable std::mutex version_mu;
-  EpochManager epochs;
   std::shared_ptr<StorageVersion> published;
   std::deque<std::shared_ptr<const StorageVersion>> retained;
 
@@ -272,9 +268,8 @@ struct CollectionShared {
   mutable std::atomic<int64_t> index_scans{0};
   mutable std::atomic<int64_t> coll_scans{0};
 
-  /// Evicts over-budget retained versions; defers (via
-  /// EpochManager::Retire) the ones whose epoch is still pinned.
-  /// Requires version_mu.
+  /// Evicts the oldest retained versions until the set fits
+  /// `opts.retained_versions`. Requires version_mu.
   void TrimRetainedLocked();
 
   /// Runs `fn` against the next version under the publication
@@ -288,29 +283,27 @@ struct CollectionShared {
               bool bump_epoch = true);
 };
 
-/// A reader's hold on one version: keeps it alive and its epoch
-/// pinned, shared by every view/cursor copy that reads it. The last
-/// copy drops the version under version_mu, then unpins.
+/// A reader's hold on one version: keeps it alive, shared by every
+/// view/cursor copy that reads it. The last copy drops the version
+/// under version_mu.
 struct VersionPin {
   VersionPin(std::shared_ptr<CollectionShared> s,
-             std::shared_ptr<const StorageVersion> c, uint64_t e)
-      : state(std::move(s)), core(std::move(c)), epoch(e) {}
+             std::shared_ptr<const StorageVersion> c)
+      : state(std::move(s)), core(std::move(c)) {}
   ~VersionPin();
   VersionPin(const VersionPin&) = delete;
   VersionPin& operator=(const VersionPin&) = delete;
 
   std::shared_ptr<CollectionShared> state;
   std::shared_ptr<const StorageVersion> core;
-  uint64_t epoch;
 };
 
 }  // namespace internal
 
 /// \brief Pull-based iteration over the live documents of one storage
-/// version, in id order. The cursor co-owns the version (and holds
-/// its epoch pin), so it is structurally impossible for it to outlive
-/// the documents it yields — concurrent writers publish new versions
-/// and never touch this one.
+/// version, in id order. The cursor co-owns the version, so it is
+/// structurally impossible for it to outlive the documents it yields —
+/// concurrent writers publish new versions and never touch this one.
 class DocCursor {
  public:
   /// Pulls the next (id, document); false at end. The document
@@ -333,7 +326,7 @@ class DocCursor {
   size_t pos_ = 0;
 };
 
-/// \brief An epoch-pinned, immutable handle on one published state of
+/// \brief A pinned, immutable handle on one published state of
 /// a collection — the unit the query layer reads through. Copyable
 /// (copies share the pin); cheap to pass by value. Everything
 /// borrowed from a view (documents, index scans, cursors) is valid
@@ -385,8 +378,8 @@ class CollectionView {
 
   /// Parks this view's version in the collection's retained set so a
   /// resume token minted against it stays serviceable after writers
-  /// publish newer versions (until the retention budget or epoch
-  /// drain evicts it). Idempotent.
+  /// publish newer versions, until the retention budget evicts it.
+  /// Idempotent.
   void RetainForResume() const;
 
   /// Resolves `version_id` to a view: this view or the live published

@@ -50,6 +50,7 @@ void CheckDifferential(const CollectionView& view) {
   auto via_scan = Find(view, pred, scan);
   ASSERT_TRUE(via_plan.ok()) << via_plan.status().ToString();
   ASSERT_TRUE(via_scan.ok()) << via_scan.status().ToString();
+  EXPECT_FALSE(via_plan->empty());
   EXPECT_EQ(*via_plan, *via_scan);
 
   // Ordered variant: sort/limit push-down vs ordered scan.

@@ -115,14 +115,18 @@ TEST(ParallelPairSignalsTest, BatchMatchesSingleComputation) {
   auto pairs = GenerateCandidatePairs(records, BlockingOptions{});
   ASSERT_FALSE(pairs.empty());
   ThreadPool pool(4);
-  std::vector<PairSignals> batch;
+  std::vector<PairSignals> batch, serial;
   ASSERT_TRUE(
       ComputeAllPairSignals(records, pairs, &pool, &batch).ok());
+  ASSERT_TRUE(
+      ComputeAllPairSignals(records, pairs, nullptr, &serial).ok());
   ASSERT_EQ(batch.size(), pairs.size());
+  ASSERT_EQ(serial.size(), pairs.size());
   for (size_t k = 0; k < pairs.size(); ++k) {
     PairSignals one =
         ComputePairSignals(records[pairs[k].first], records[pairs[k].second]);
     EXPECT_DOUBLE_EQ(batch[k].RuleScore(), one.RuleScore()) << "pair " << k;
+    EXPECT_EQ(batch[k].RuleScore(), serial[k].RuleScore()) << "pair " << k;
   }
 }
 

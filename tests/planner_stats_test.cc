@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,74 @@ TEST(PlannerO1Test, PointFindEntryCountsBoundedSerialAndParallel) {
   EXPECT_EQ(stats.estimated_rows, 2);
   EXPECT_LE(stats.plan_entries_counted,
             storage::SecondaryIndex::kExactCountThreshold + 1);
+}
+
+/// Planning cost across three orders of magnitude of hit count on a
+/// skewed corpus: a "bucket" whose values hit 1, 100 and 2,000 of
+/// 2,101 documents, a unique "name" and a 50/50 "type" split. The
+/// point find carries order_by + limit so the planner also prices the
+/// filtered order walk, the estimate-hungry decision.
+TEST(PlannerO1Test, SkewedBucketsPlanBoundedAndExactPlannerAgrees) {
+  const int64_t n = 2101, warm = 100;
+  Collection coll("dt.skew");
+  for (int64_t i = 0; i < n; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "n%07lld", static_cast<long long>(i));
+    coll.Insert(DocBuilder()
+                    .Set("bucket", i == 0 ? "cold" : i <= warm ? "warm" : "hot")
+                    .Set("type", i % 2 == 0 ? "Movie" : "Person")
+                    .Set("name", name)
+                    .Build());
+  }
+  ASSERT_TRUE(coll.CreateIndex("bucket").ok());
+  ASSERT_TRUE(coll.CreateIndex("name").ok());
+  ASSERT_TRUE(coll.CreateIndex("type").ok());
+
+  auto plan_entries = [&](const char* bucket, bool exact) {
+    ExecStats stats;
+    FindOptions opts;
+    opts.order_by = "name";
+    opts.limit = 10;
+    opts.debug_exact_count_planning = exact;
+    opts.stats = &stats;
+    (void)PlanFind(coll.GetView(),
+                   Predicate::Eq("bucket", DocValue::Str(bucket)), opts);
+    return stats.plan_entries_counted;
+  };
+  int64_t max_entries = 0;
+  for (const char* bucket : {"cold", "warm", "hot"}) {
+    const int64_t entries = plan_entries(bucket, /*exact=*/false);
+    EXPECT_LE(entries, 1024) << bucket;
+    max_entries = std::max(max_entries, entries);
+  }
+  // The pre-statistics baseline walks every hit of the widest bucket.
+  EXPECT_GT(plan_entries("hot", /*exact=*/true), max_entries);
+
+  // The ordered Or: the exact planner counts every hit while planning
+  // and scans; the statistics planner prices the filtered order walk
+  // off the histograms and stops early. Same answer, half the work.
+  auto pred_or =
+      Predicate::Or({Predicate::Eq("type", DocValue::Str("Movie")),
+                     Predicate::Eq("type", DocValue::Str("Person"))});
+  auto work = [](const ExecStats& s) {
+    return s.plan_entries_counted + s.index_entries_examined +
+           s.docs_examined;
+  };
+  ExecStats exact_stats, stats_stats;
+  FindOptions ordered;
+  ordered.order_by = "name";
+  ordered.limit = 10;
+  ordered.debug_exact_count_planning = true;
+  ordered.stats = &exact_stats;
+  auto via_exact = Find(coll.GetView(), pred_or, ordered);
+  ordered.debug_exact_count_planning = false;
+  ordered.stats = &stats_stats;
+  auto via_stats = Find(coll.GetView(), pred_or, ordered);
+  ASSERT_TRUE(via_exact.ok() && via_stats.ok());
+  EXPECT_FALSE(via_stats->empty());
+  EXPECT_EQ(*via_exact, *via_stats);
+  EXPECT_LE(2 * work(stats_stats), work(exact_stats))
+      << "exact " << work(exact_stats) << " vs stats " << work(stats_stats);
 }
 
 TEST(PlannerO1Test, ExplainRendersEstimateProvenance) {

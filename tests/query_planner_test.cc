@@ -2,8 +2,10 @@
 /// query planner and the cursor executor: predicate semantics,
 /// access-path choice (including compound indexes), order_by/limit
 /// push-down (operator pipeline + ExecStats counters), index/scan
-/// agreement, the bounded top-k aggregation and the DataTamer facade
-/// surface (Find/Explain, counters, snapshots).
+/// agreement, the bounded top-k aggregation, the DataTamer facade
+/// surface (Find/Explain, counters, snapshots) and the work each
+/// access path saves on the demo corpus (entries and documents
+/// touched against the scan, sort or fallback it replaces).
 ///
 /// The differential harnesses at the bottom run randomized predicate
 /// trees over a datagen-generated corpus and assert the planner's
@@ -1207,6 +1209,50 @@ TEST(PaginationTest, ReclaimedVersionTokenRejectedAsStale) {
   EXPECT_NE(st.ToString().find("stale"), std::string::npos) << st.ToString();
 }
 
+TEST(PaginationTest, RetainedVersionsStayWithinBudgetWhileAViewIsHeld) {
+  // The budget bounds the retained set even while a reader holds an
+  // older view: each paged find parks one more version, and the oldest
+  // are evicted (their tokens turn stale) instead of waiting for the
+  // held view to go.
+  storage::CollectionOptions budget_two;
+  budget_two.retained_versions = 2;
+  Collection coll("dt.entity", budget_two);
+  for (int i = 0; i < 30; ++i) {
+    coll.Insert(
+        DocBuilder().Set("type", "Movie").Set("rank", int64_t{i}).Build());
+  }
+  auto pred = Predicate::Eq("type", DocValue::Str("Movie"));
+  const storage::CollectionView held = coll.GetView();
+  FindOptions opts;
+  opts.page_size = 5;
+  std::vector<std::string> tokens;
+  for (int round = 0; round < 20; ++round) {
+    auto page = FindPage(coll.GetView(), pred, opts);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    ASSERT_FALSE(page->next_token.empty());
+    tokens.push_back(page->next_token);
+    coll.Insert(DocBuilder().Set("type", "Movie").Build());
+    EXPECT_LE(coll.retained_version_count(),
+              static_cast<size_t>(budget_two.retained_versions))
+        << "round " << round;
+  }
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    opts.resume_token = tokens[t];
+    auto resumed = FindPage(coll.GetView(), pred, opts);
+    if (t + 2 >= tokens.size()) {
+      EXPECT_TRUE(resumed.ok()) << "token " << t << ": "
+                                << resumed.status().ToString();
+    } else {
+      ASSERT_FALSE(resumed.ok()) << "token " << t << " outlived the budget";
+      EXPECT_NE(resumed.status().ToString().find("stale"), std::string::npos)
+          << resumed.status().ToString();
+    }
+  }
+  // The held view still reads the version it pinned.
+  EXPECT_EQ(held.count(), 30);
+  EXPECT_EQ(Find(held, pred)->size(), 30u);
+}
+
 TEST(PaginationTest, TokenForADifferentQueryIsRejected) {
   Collection coll = MakeEntities();
   ASSERT_TRUE(coll.CreateIndex({"type", "name"}).ok());
@@ -1630,6 +1676,160 @@ TEST(DataTamerFindTest, TextIndexBuiltAfterTheTokenResumesThePinnedVersion) {
   std::vector<DocId> stitched = first->ids;
   StitchRest(tamer, req, &stitched);
   EXPECT_EQ(stitched, (std::vector<DocId>{1, 2, 3, 4}));
+}
+
+// ---------------------------------------------------------------------
+// Work bounds on the demo corpus
+// ---------------------------------------------------------------------
+
+// The corpus the paper's queries run on: 400 generated fragments
+// ingested with the standard indexes (~4k dt.entity documents). The
+// bounds below count index entries and documents, so they hold on any
+// machine; each is a ratio an access path must win by.
+const FacadeCorpus& DemoCorpus() {
+  static const FacadeCorpus* corpus = new FacadeCorpus(400);
+  return *corpus;
+}
+
+int64_t Touched(const ExecStats& stats) {
+  return stats.index_entries_examined + stats.docs_examined;
+}
+
+TEST(DemoCorpusTest, IndexedEqualityMatchesScansAtATenthOfTheWork) {
+  fusion::DataTamer tamer;
+  DemoCorpus().Ingest(&tamer, /*with_indexes=*/true);
+  const storage::CollectionView view = tamer.entity_collection()->GetView();
+  auto pred = Predicate::And({Predicate::Eq("type", DocValue::Str("Movie")),
+                              Predicate::Eq("name", DocValue::Str("Matilda"))});
+  ExecStats indexed_stats, scan_stats;
+  FindOptions indexed;
+  indexed.stats = &indexed_stats;
+  FindOptions scan;
+  scan.use_indexes = false;
+  scan.stats = &scan_stats;
+  ThreadPool pool(4);
+  FindOptions pooled;
+  pooled.use_indexes = false;
+  pooled.pool = &pool;
+  auto via_index = Find(view, pred, indexed);
+  auto via_scan = Find(view, pred, scan);
+  auto via_pooled = Find(view, pred, pooled);
+  ASSERT_TRUE(via_index.ok() && via_scan.ok() && via_pooled.ok());
+  ASSERT_FALSE(via_index->empty());
+  EXPECT_EQ(*via_index, *via_scan);
+  EXPECT_EQ(*via_scan, *via_pooled);
+  EXPECT_EQ(scan_stats.docs_examined, view.count());
+  EXPECT_LE(10 * Touched(indexed_stats), scan_stats.docs_examined)
+      << ExplainFind(view, pred, indexed);
+}
+
+TEST(DemoCorpusTest, OrderedLimitPushesDownAndCompoundIndexRoutes) {
+  fusion::DataTamer tamer;
+  DemoCorpus().Ingest(&tamer, /*with_indexes=*/true);
+  Collection* coll = tamer.entity_collection();
+  const auto match_all = Predicate::And({});
+  ExecStats stats;
+  FindOptions down;
+  down.order_by = "instance_id";
+  down.limit = 10;
+  down.stats = &stats;
+  const std::string explain = ExplainFind(coll->GetView(), match_all, down);
+  EXPECT_NE(explain.find("IXSCAN"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("LIMIT(10)"), std::string::npos) << explain;
+  EXPECT_EQ(explain.find("SORT"), std::string::npos) << explain;
+  auto pushed = Find(coll->GetView(), match_all, down);
+  ASSERT_TRUE(pushed.ok());
+  EXPECT_EQ(*pushed, OracleOrdered(*coll, match_all, "instance_id", false, 10));
+  // The walk stops at the limit: the first instance_id runs plus a
+  // lookahead, against every document a materialize-and-sort reads.
+  EXPECT_LE(stats.index_entries_examined, 10 + 30);
+  EXPECT_LE(10 * Touched(stats), coll->count());
+
+  // Table IV's filter shape: the compound index answers what the best
+  // single-field driver plus a residual re-check answered.
+  auto award = Predicate::And(
+      {Predicate::Eq("type", DocValue::Str("Movie")),
+       Predicate::Eq("award_winning", DocValue::Str("true"))});
+  auto via_single = Find(coll->GetView(), award);
+  ASSERT_TRUE(via_single.ok());
+  ASSERT_TRUE(coll->CreateIndex({"type", "award_winning"}).ok());
+  const std::string compound = ExplainFind(coll->GetView(), award);
+  EXPECT_NE(compound.find("IXSCAN(type,award_winning)"), std::string::npos)
+      << compound;
+  auto via_compound = Find(coll->GetView(), award);
+  ASSERT_TRUE(via_compound.ok());
+  EXPECT_FALSE(via_compound->empty());
+  EXPECT_EQ(*via_compound, *via_single);
+}
+
+TEST(DemoCorpusTest, ResumedPagesAndOrderedOrMergeStayPageBounded) {
+  fusion::DataTamer tamer;
+  DemoCorpus().Ingest(&tamer, /*with_indexes=*/true);
+  Collection* coll = tamer.entity_collection();
+  const auto match_all = Predicate::And({});
+
+  // Twenty token-resumed pages of 50 over the instance_id order, each
+  // against the full ordered materialization a client without cursors
+  // pays per request.
+  const int64_t kPage = 50;
+  ExecStats page_stats;
+  FindOptions paged;
+  paged.order_by = "instance_id";
+  paged.limit = coll->count();  // bounded walk: enables the index ride
+  paged.page_size = kPage;
+  paged.stats = &page_stats;
+  std::vector<DocId> stitched;
+  int64_t max_entries = 0, max_touched = 0;
+  for (int page_no = 0; page_no < 20; ++page_no) {
+    auto page = FindPage(coll->GetView(), match_all, paged);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
+    if (page_no > 0) {
+      max_entries = std::max(max_entries, page_stats.index_entries_examined);
+      max_touched = std::max(max_touched, Touched(page_stats));
+    }
+    if (page->next_token.empty()) break;
+    paged.resume_token = page->next_token;
+  }
+  ExecStats full_stats;
+  FindOptions full;
+  full.order_by = "instance_id";
+  full.limit = coll->count();
+  full.stats = &full_stats;
+  auto all = Find(coll->GetView(), match_all, full);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(stitched.size(), static_cast<size_t>(20 * kPage));
+  EXPECT_TRUE(std::equal(stitched.begin(), stitched.end(), all->begin()));
+  // A resumed page examines O(page) entries (runs of ~10 entities per
+  // instance_id plus edges), never the consumed offset.
+  EXPECT_LE(max_entries, kPage + 30);
+  EXPECT_LE(10 * max_touched, Touched(full_stats));
+
+  // Ordered Or: the pre-statistics planner over single-field indexes
+  // against MERGE_UNION once a compound index covers the order.
+  auto pred_or =
+      Predicate::Or({Predicate::Eq("type", DocValue::Str("Movie")),
+                     Predicate::Eq("type", DocValue::Str("Person"))});
+  ExecStats fallback_stats, merge_stats;
+  FindOptions ordered;
+  ordered.order_by = "name";
+  ordered.limit = 10;
+  ordered.debug_exact_count_planning = true;
+  ordered.stats = &fallback_stats;
+  auto via_fallback = Find(coll->GetView(), pred_or, ordered);
+  ASSERT_TRUE(via_fallback.ok());
+  ASSERT_TRUE(coll->CreateIndex({"type", "name"}).ok());
+  ordered.debug_exact_count_planning = false;
+  ordered.stats = &merge_stats;
+  const std::string merge = ExplainFind(coll->GetView(), pred_or, ordered);
+  EXPECT_NE(merge.find("MERGE_UNION"), std::string::npos) << merge;
+  EXPECT_EQ(merge.find("SORT"), std::string::npos) << merge;
+  EXPECT_EQ(merge.find("TOPK"), std::string::npos) << merge;
+  auto via_merge = Find(coll->GetView(), pred_or, ordered);
+  ASSERT_TRUE(via_merge.ok());
+  EXPECT_FALSE(via_merge->empty());
+  EXPECT_EQ(*via_merge, *via_fallback);
+  EXPECT_LE(10 * Touched(merge_stats), Touched(fallback_stats));
 }
 
 }  // namespace

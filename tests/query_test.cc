@@ -11,6 +11,7 @@ using relational::Value;
 using relational::ValueType;
 using storage::Collection;
 using storage::DocBuilder;
+using storage::DocValue;
 
 Collection MakeEntities() {
   Collection coll("dt.entity");
@@ -37,11 +38,9 @@ TEST(CountByFieldTest, GroupsAndSorts) {
 
 TEST(CountByFieldTest, FilterApplied) {
   Collection coll = MakeEntities();
-  auto rows =
-      CountByField(coll.GetView(), "name", [](const storage::DocValue& d) {
-        const auto* award = d.Find("award_winning");
-        return award != nullptr && award->string_value() == "true";
-      });
+  auto rows = CountByField(
+      coll.GetView(), "name",
+      Predicate::Eq("award_winning", DocValue::Str("true")));
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].key, "Matilda");
   EXPECT_EQ(rows[1].key, "Goodfellas");

@@ -277,6 +277,75 @@ TEST(ServerIntegrationTest, OverloadBurstAnsweredUnavailableNeverDropped) {
   srv.Stop();
 }
 
+// Puts `n` copies of `req` in flight on one fresh connection before
+// reading any answer; every answer must be OK, carry an id this
+// connection sent, and hold `expected`.
+Status PipelineRequests(uint16_t port, const QueryRequest& req, int n,
+                        const std::vector<storage::DocId>& expected) {
+  DT_ASSIGN_OR_RETURN(auto cli, DtClient::Connect("127.0.0.1", port));
+  std::vector<uint64_t> sent;
+  for (int i = 0; i < n; ++i) {
+    DT_ASSIGN_OR_RETURN(uint64_t id, cli->Send(req));
+    sent.push_back(id);
+  }
+  for (int i = 0; i < n; ++i) {
+    DT_ASSIGN_OR_RETURN(ResponseEnvelope env, cli->Receive());
+    DT_RETURN_NOT_OK(env.status);
+    auto it = std::find(sent.begin(), sent.end(), env.id);
+    if (it == sent.end()) {
+      return Status::Internal("answer for an id never sent");
+    }
+    sent.erase(it);
+    if (env.response.ids != expected) {
+      return Status::Internal("answer differs from in-process");
+    }
+  }
+  return Status::OK();
+}
+
+TEST(ServerIntegrationTest, PipelinedClientsAllAnsweredWithinCapacity) {
+  const Corpus& corpus = SharedCorpus();
+  fusion::DataTamer tamer;
+  corpus.Ingest(&tamer);
+  QueryRequest req;
+  req.op = QueryOp::kFind;
+  req.collection = "entity";
+  req.predicate = Predicate::Eq("type", DocValue::Str("Movie"));
+  req.order_by = "name";
+  req.limit = 50;
+  auto baseline = tamer.Execute(req);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ASSERT_FALSE(baseline->ids.empty());
+
+  ServerOptions opts;
+  opts.num_workers = 4;
+  DtServer srv(&tamer, opts);
+  ASSERT_TRUE(srv.Start().ok());
+
+  // Four clients with 8 requests in flight each: the default admission
+  // queue never rejects inside that capacity.
+  constexpr int kClients = 4;
+  constexpr int kPipelined = 8;
+  std::vector<Status> verdicts(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      verdicts[c] = PipelineRequests(srv.port(), req, kPipelined,
+                                     baseline->ids);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(verdicts[c].ok()) << "client " << c << ": "
+                                  << verdicts[c].ToString();
+  }
+  const ServerStats stats = srv.stats();
+  EXPECT_EQ(stats.requests_rejected, 0u);
+  EXPECT_EQ(stats.requests_executed,
+            static_cast<uint64_t>(kClients * kPipelined));
+  srv.Stop();
+}
+
 TEST(ServerIntegrationTest, SessionPipelineCapRejectsExcessInflight) {
   const Corpus& corpus = SharedCorpus();
   fusion::DataTamer tamer;

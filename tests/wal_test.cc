@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <future>
 #include <string>
 #include <thread>
@@ -351,6 +353,35 @@ TEST(WalManagerTest, RecoversMutationsAcrossReopen) {
   }
 }
 
+/// Name -> size of the checkpoint files ("coll-*.dtb") under `dir`.
+std::map<std::string, int64_t> CheckpointFiles(const std::string& dir) {
+  std::map<std::string, int64_t> out;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return out;
+  while (const dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    struct stat st;
+    if (name.rfind("coll-", 0) == 0 && name.size() > 9 &&
+        name.compare(name.size() - 4, 4, ".dtb") == 0 &&
+        ::stat((dir + "/" + name).c_str(), &st) == 0) {
+      out[name] = st.st_size;
+    }
+  }
+  ::closedir(d);
+  return out;
+}
+
+/// Bytes of the checkpoint files in `after` that `before` lacks: what
+/// one checkpoint wrote.
+int64_t NewCheckpointBytes(const std::map<std::string, int64_t>& before,
+                           const std::map<std::string, int64_t>& after) {
+  int64_t bytes = 0;
+  for (const auto& [name, size] : after) {
+    if (before.count(name) == 0) bytes += size;
+  }
+  return bytes;
+}
+
 TEST(WalManagerTest, CheckpointReusesCleanCollections) {
   TempPath dir("mgr_incr");
   std::string before;
@@ -360,7 +391,7 @@ TEST(WalManagerTest, CheckpointReusesCleanCollections) {
     ASSERT_TRUE(mgr.ok());
     DocumentStore store("dt");
     std::vector<Collection*> colls;
-    for (int c = 0; c < 4; ++c) {
+    for (int c = 0; c < 8; ++c) {
       colls.push_back(
           store.CreateCollection("c" + std::to_string(c)).ValueOrDie());
     }
@@ -372,17 +403,24 @@ TEST(WalManagerTest, CheckpointReusesCleanCollections) {
     }
     ASSERT_TRUE((*mgr)->Checkpoint().ok());
     DurabilityStats s1 = (*mgr)->stats();
-    EXPECT_EQ(s1.checkpoint_collections_written, 4u);
+    EXPECT_EQ(s1.checkpoint_collections_written, 8u);
     EXPECT_EQ(s1.checkpoint_collections_reused, 0u);
+    const std::map<std::string, int64_t> full = CheckpointFiles(dir.path());
+    const int64_t full_bytes = NewCheckpointBytes({}, full);
 
     // Dirty exactly one collection: the next checkpoint re-encodes it
-    // alone and reuses the other three files untouched.
+    // alone, reuses the other seven files untouched, and so writes
+    // fewer bytes than the full one did.
     colls[2]->Insert(DocBuilder().Set("i", int64_t{999}).Build());
     ASSERT_TRUE((*mgr)->Checkpoint().ok());
     DurabilityStats s2 = (*mgr)->stats();
-    EXPECT_EQ(s2.checkpoint_collections_written, 5u);
-    EXPECT_EQ(s2.checkpoint_collections_reused, 3u);
+    EXPECT_EQ(s2.checkpoint_collections_written, 9u);
+    EXPECT_EQ(s2.checkpoint_collections_reused, 7u);
     EXPECT_EQ(s2.checkpoints, 2u);
+    const int64_t incremental_bytes =
+        NewCheckpointBytes(full, CheckpointFiles(dir.path()));
+    EXPECT_GT(incremental_bytes, 0);
+    EXPECT_LT(incremental_bytes, full_bytes);
     before = StoreBytes(store);
     (*mgr)->DetachAll();
   }
@@ -394,6 +432,53 @@ TEST(WalManagerTest, CheckpointReusesCleanCollections) {
     EXPECT_EQ(StoreBytes(*recovered), before);
     // Post-checkpoint reopen replays only the (empty) tail.
     EXPECT_EQ((*mgr)->stats().recovered_records, 0u);
+  }
+}
+
+/// Four writers over four collections that share one log: every
+/// acknowledged insert survives a cold reopen in each syncing mode.
+TEST(WalManagerTest, ConcurrentWritersSurviveColdReopenInEveryMode) {
+  constexpr int kWriters = 4;
+  constexpr int kOpsPerWriter = 250;
+  for (Durability mode :
+       {Durability::kAsync, Durability::kGroup, Durability::kStrict}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    TempPath dir("mgr_writers");
+    {
+      std::unique_ptr<DocumentStore> recovered;
+      auto mgr = WalManager::Open(Opts(dir.path(), mode), "dt", &recovered);
+      ASSERT_TRUE(mgr.ok());
+      DocumentStore store("dt");
+      std::vector<Collection*> colls;
+      for (int w = 0; w < kWriters; ++w) {
+        colls.push_back(
+            store.CreateCollection("w" + std::to_string(w)).ValueOrDie());
+      }
+      ASSERT_TRUE((*mgr)->Attach(&store).ok());
+      std::vector<std::thread> writers;
+      for (int w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&colls, w] {
+          for (int i = 0; i < kOpsPerWriter; ++i) {
+            colls[w]->Insert(DocBuilder()
+                                 .Set("seq", static_cast<int64_t>(i))
+                                 .Set("writer", static_cast<int64_t>(w))
+                                 .Build());
+          }
+        });
+      }
+      for (std::thread& t : writers) t.join();
+      ASSERT_TRUE((*mgr)->Flush().ok());
+      (*mgr)->DetachAll();
+    }
+    std::unique_ptr<DocumentStore> recovered;
+    auto mgr = WalManager::Open(Opts(dir.path(), mode), "dt", &recovered);
+    ASSERT_TRUE(mgr.ok());
+    ASSERT_NE(recovered, nullptr);
+    for (int w = 0; w < kWriters; ++w) {
+      auto coll = recovered->GetCollection("w" + std::to_string(w));
+      ASSERT_TRUE(coll.ok()) << "w" << w;
+      EXPECT_EQ((*coll)->count(), kOpsPerWriter) << "w" << w;
+    }
   }
 }
 
