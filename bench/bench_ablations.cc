@@ -29,6 +29,7 @@
 /// every listed key prefix is present — the smoke-level guarantee that
 /// the CI artifact stays well-formed and populated.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -402,18 +403,6 @@ void AblationStreamingIngest(int64_t fragments_override) {
   // alone, then with one ingest client pushing record batches through
   // kIngest. The facade serializes execution, so this prices the lock
   // hold of incremental consolidation against reader QPS.
-  BenchScale scale;
-  scale.num_fragments = full_scale ? 4000 : fragments_override;
-  DemoPipeline p = BuildDemoPipeline(scale, /*ingest_text=*/true,
-                                     /*ingest_structured=*/false);
-  server::ServerOptions sopts;
-  sopts.num_workers = 4;
-  server::DtServer srv(p.tamer.get(), sopts);  // mutable: ingest allowed
-  if (!srv.Start().ok()) {
-    std::printf("  FAILED: server did not start\n");
-    CheckFailed() = true;
-    return;
-  }
   const int kReaders = 4;
   const int kRequestsPerReader = full_scale ? 400 : 60;
   query::QueryRequest read_req;
@@ -423,99 +412,149 @@ void AblationStreamingIngest(int64_t fragments_override) {
       query::Predicate::Eq("type", storage::DocValue::Str("Movie"));
   read_req.order_by = "name";
   read_req.limit = 50;
+  auto ingest_corpus = StreamingCorpus(full_scale ? 20000 : 2000, 555);
 
-  auto reader_phase = [&](std::atomic<bool>* stop_ingest) -> double {
-    std::atomic<int> failures{0};
-    std::vector<std::thread> readers;
-    Timer wall;
-    for (int c = 0; c < kReaders; ++c) {
-      readers.emplace_back([&] {
-        auto conn = server::DtClient::Connect("127.0.0.1", srv.port());
-        if (!conn.ok()) {
-          failures.fetch_add(1);
-          return;
-        }
-        for (int i = 0; i < kRequestsPerReader; ++i) {
-          auto resp = (*conn)->Call(read_req);
-          if (!resp.ok() || resp->ids.empty()) {
+  struct RetentionRound {
+    double qps_baseline = 0;
+    double qps_under_ingest = 0;
+    int64_t pushed = 0;
+    double ingest_secs = 0;
+    server::ServerStats stats;
+  };
+  // One round: a fresh pipeline and server, the read-only baseline,
+  // then the same readers beside the ingest stream.
+  auto run_round = [&](RetentionRound* out) -> bool {
+    BenchScale scale;
+    scale.num_fragments = full_scale ? 4000 : fragments_override;
+    DemoPipeline p = BuildDemoPipeline(scale, /*ingest_text=*/true,
+                                       /*ingest_structured=*/false);
+    server::ServerOptions sopts;
+    sopts.num_workers = 4;
+    server::DtServer srv(p.tamer.get(), sopts);  // mutable: ingest allowed
+    if (!srv.Start().ok()) {
+      std::printf("  FAILED: server did not start\n");
+      CheckFailed() = true;
+      return false;
+    }
+
+    auto reader_phase = [&](std::atomic<bool>* stop_ingest) -> double {
+      std::atomic<int> failures{0};
+      std::vector<std::thread> readers;
+      Timer wall;
+      for (int c = 0; c < kReaders; ++c) {
+        readers.emplace_back([&] {
+          auto conn = server::DtClient::Connect("127.0.0.1", srv.port());
+          if (!conn.ok()) {
             failures.fetch_add(1);
             return;
           }
-        }
-      });
-    }
-    for (auto& r : readers) r.join();
-    const double secs = wall.Seconds();
-    if (stop_ingest != nullptr) stop_ingest->store(true);
-    if (failures.load() > 0) {
-      std::printf("  FAILED: %d reader thread(s) errored\n", failures.load());
-      CheckFailed() = true;
-    }
-    return secs > 0 ? kReaders * kRequestsPerReader / secs : 0.0;
-  };
+          for (int i = 0; i < kRequestsPerReader; ++i) {
+            auto resp = (*conn)->Call(read_req);
+            if (!resp.ok() || resp->ids.empty()) {
+              failures.fetch_add(1);
+              return;
+            }
+          }
+        });
+      }
+      for (auto& r : readers) r.join();
+      const double secs = wall.Seconds();
+      if (stop_ingest != nullptr) stop_ingest->store(true);
+      if (failures.load() > 0) {
+        std::printf("  FAILED: %d reader thread(s) errored\n",
+                    failures.load());
+        CheckFailed() = true;
+      }
+      return secs > 0 ? kReaders * kRequestsPerReader / secs : 0.0;
+    };
 
-  // Warm the connection path and caches before timing anything, then
-  // take the read-only baseline.
-  (void)reader_phase(nullptr);
-  const double qps_baseline = reader_phase(nullptr);
+    // Warm the connection path and caches before timing anything, then
+    // take the read-only baseline.
+    (void)reader_phase(nullptr);
+    out->qps_baseline = reader_phase(nullptr);
 
-  auto ingest_corpus = StreamingCorpus(full_scale ? 20000 : 2000, 555);
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> pushed{0};
-  Timer ingest_wall;
-  std::thread ingester([&] {
-    auto conn = server::DtClient::Connect("127.0.0.1", srv.port());
-    if (!conn.ok()) {
-      CheckFailed() = true;
-      return;
-    }
-    const int kBatch = 10;
-    size_t next = 0;
-    while (!stop.load() && next + kBatch <= ingest_corpus.size()) {
-      query::QueryRequest req;
-      req.op = query::QueryOp::kIngest;
-      req.ingest_records.assign(ingest_corpus.begin() + next,
-                                ingest_corpus.begin() + next + kBatch);
-      next += kBatch;
-      auto resp = (*conn)->Call(req);
-      if (!resp.ok()) {
+    std::atomic<bool> stop{false};
+    std::atomic<int64_t> pushed{0};
+    Timer ingest_wall;
+    std::thread ingester([&] {
+      auto conn = server::DtClient::Connect("127.0.0.1", srv.port());
+      if (!conn.ok()) {
         CheckFailed() = true;
         return;
       }
-      pushed.fetch_add(resp->ingested);
-      // A steady arrival stream, not a saturating firehose: yield the
-      // facade between batches so the measurement prices ingest load,
-      // not a pathological mutex hog.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  const double qps_under_ingest = reader_phase(&stop);
-  ingester.join();
-  const double ingest_secs = ingest_wall.Seconds();
-  const server::ServerStats stats = srv.stats();
-  srv.Stop();
+      const int kBatch = 10;
+      size_t next = 0;
+      while (!stop.load() && next + kBatch <= ingest_corpus.size()) {
+        query::QueryRequest req;
+        req.op = query::QueryOp::kIngest;
+        req.ingest_records.assign(ingest_corpus.begin() + next,
+                                  ingest_corpus.begin() + next + kBatch);
+        next += kBatch;
+        auto resp = (*conn)->Call(req);
+        if (!resp.ok()) {
+          CheckFailed() = true;
+          return;
+        }
+        pushed.fetch_add(resp->ingested);
+        // A steady arrival stream, not a saturating firehose: yield the
+        // facade between batches so the measurement prices ingest load,
+        // not a pathological mutex hog.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    out->qps_under_ingest = reader_phase(&stop);
+    ingester.join();
+    out->ingest_secs = ingest_wall.Seconds();
+    out->pushed = pushed.load();
+    out->stats = srv.stats();
+    srv.Stop();
+    return true;
+  };
 
-  const double retention =
-      qps_baseline > 0 ? qps_under_ingest / qps_baseline : 0.0;
+  // One reader phase lasts tens of milliseconds, so anything else
+  // scheduled on the host can halve a single phase and read as lost
+  // retention. Each round repeats the whole measurement from a fresh
+  // server, and the gate takes the median round: a stall in one phase
+  // moves one round, not the median.
+  const int kRounds = 5;
+  std::vector<RetentionRound> rounds(kRounds);
+  for (RetentionRound& round : rounds) {
+    if (!run_round(&round)) return;
+  }
+  const auto ratio = [](const RetentionRound& r) {
+    return r.qps_baseline > 0 ? r.qps_under_ingest / r.qps_baseline : 0.0;
+  };
+  std::sort(rounds.begin(), rounds.end(),
+            [&](const RetentionRound& x, const RetentionRound& y) {
+              return ratio(x) < ratio(y);
+            });
+  const RetentionRound& median = rounds[kRounds / 2];
+  const double retention = ratio(median);
   const double ingest_rate =
-      ingest_secs > 0 ? static_cast<double>(pushed.load()) / ingest_secs : 0.0;
-  std::printf("  %-38s %10.0f QPS read-only\n", "4 readers", qps_baseline);
+      median.ingest_secs > 0
+          ? static_cast<double>(median.pushed) / median.ingest_secs
+          : 0.0;
+  std::printf("  %-38s %10.0f QPS read-only\n", "4 readers",
+              median.qps_baseline);
   std::printf("  %-38s %10.0f QPS (+%0.0f records/s ingested)\n",
-              "4 readers + 1 ingester", qps_under_ingest, ingest_rate);
-  std::printf("  %-38s %9.0f%%   ingest reqs: %llu\n", "reader retention",
-              retention * 100.0,
-              static_cast<unsigned long long>(stats.ingest_requests));
-  if (pushed.load() == 0 || stats.ingest_records == 0) {
-    std::printf("  FAILED: the ingest stream never landed a record\n");
-    CheckFailed() = true;
+              "4 readers + 1 ingester", median.qps_under_ingest, ingest_rate);
+  std::printf("  %-38s %9.0f%%   median of %d rounds, ingest reqs: %llu\n",
+              "reader retention", retention * 100.0, kRounds,
+              static_cast<unsigned long long>(median.stats.ingest_requests));
+  for (const RetentionRound& round : rounds) {
+    if (round.pushed == 0 || round.stats.ingest_records == 0) {
+      std::printf("  FAILED: the ingest stream never landed a record\n");
+      CheckFailed() = true;
+      break;
+    }
   }
   if (retention < 0.40) {
     std::printf("  FAILED: reader throughput fell to %.0f%% of read-only "
                 "under ingest (floor: 40%%)\n", retention * 100.0);
     CheckFailed() = true;
   }
-  RecordMetric("ingest_reader_qps_baseline", qps_baseline);
-  RecordMetric("ingest_reader_qps_under_ingest", qps_under_ingest);
+  RecordMetric("ingest_reader_qps_baseline", median.qps_baseline);
+  RecordMetric("ingest_reader_qps_under_ingest", median.qps_under_ingest);
   RecordMetric("ingest_reader_retention", retention);
   RecordMetric("ingest_rate_rps", ingest_rate);
 }
